@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -208,10 +209,11 @@ def _setting(args, config: dict, key: str, default):
 
 
 def _thread_count(args, config: dict) -> int:
+    """The requested worker count, clamped to the machine's CPU count."""
     threads = int(_setting(args, config, "threads", 1))
     if threads < 1:
         raise ValueError(f"worker count must be >= 1, got {threads}")
-    return threads
+    return min(threads, os.cpu_count() or 1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,7 +24,7 @@ class Caps:
 
     count_max_n:        closed-form counting (largest count is C(2^n-1, 3))
     materialize_max_n:  explicit adjacency rows (~V^2/8 bytes)
-    triangle_exact_max_n: bit-parallel exact triangle count (time budget)
+    triangle_exact_max_n: exact triangle count on explicit rows (time budget)
     corrected_max_n:    corrected triangle recursion
     clique_oracle_max_n: exhaustive maximum-clique enumeration
     chromatic_oracle_max_n / mis_oracle_max_n / domination_oracle_max_n /
@@ -45,10 +45,13 @@ class Caps:
     mela_max_index: int = 62
 
     def with_overrides(self, **kwargs: int) -> "Caps":
-        """Return a copy with the given fields replaced."""
+        """Return a copy with the given fields replaced by non-negative ints."""
         unknown = set(kwargs) - {f.name for f in dataclasses.fields(self)}
         if unknown:
             raise ValueError(f"unknown cap name(s): {sorted(unknown)}")
+        for name, value in kwargs.items():
+            if type(value) is not int or value < 0:
+                raise ValueError(f"cap {name} must be a non-negative integer, got {value!r}")
         return dataclasses.replace(self, **kwargs)
 
     def as_dict(self) -> dict[str, int]:

@@ -127,7 +127,8 @@ def edge_count_recursive(n: int, *, caps: Caps = DEFAULT_CAPS) -> int:
 def edge_count_brute(g: MaterializedGraph) -> int:
     """Half the sum of row popcounts."""
     total = sum(row.bit_count() for row in g.rows)
-    assert total % 2 == 0
+    if total % 2:
+        raise ValueError("rows are not symmetric: odd sum of row popcounts")
     return total // 2
 
 

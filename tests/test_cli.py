@@ -1,13 +1,21 @@
 """The command-line surface: exports, reports, sequences, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from setgraphs import adjacent, edge_count_closed, edges_by_mask, materialize, tightness
-from setgraphs.cli import invariant_report, main, render_value_table, sequence_rows
+from setgraphs.cli import (
+    _thread_count,
+    build_parser,
+    invariant_report,
+    main,
+    render_value_table,
+    sequence_rows,
+)
 
 
 def run_cli(*argv):
@@ -205,6 +213,30 @@ def test_config_cap_override(tmp_path):
     assert out.read_text().splitlines()[-1] == f"25,{2**25 - 1}"
     config.write_text(json.dumps({"caps": {"no_such_cap": 1}}))
     assert run_cli("--config", str(config), "sequence", "vertices", "--out", str(out)) == 2
+
+
+def test_config_bad_cap_value_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    for bad in ("13", 13.0, True, -1, None):
+        config.write_text(json.dumps({"caps": {"materialize_max_n": bad}}))
+        assert run_cli("--config", str(config), "invariants", "3") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("setgraph: cap materialize_max_n")
+        assert err.count("\n") == 1
+
+
+def test_thread_count_clamped_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    flagged = build_parser().parse_args(["invariants", "3", "--threads", "64"])
+    assert _thread_count(flagged, {}) == 2
+    plain = build_parser().parse_args(["verify"])
+    assert _thread_count(plain, {"threads": 10**6}) == 2
+    assert _thread_count(plain, {"threads": 1}) == 1
+    assert _thread_count(plain, {}) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _thread_count(flagged, {}) == 1
+    with pytest.raises(ValueError):
+        _thread_count(plain, {"threads": 0})
 
 
 def _run_subprocess(*args):

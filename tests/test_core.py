@@ -131,6 +131,15 @@ def test_materialize_cap_names_memory():
         materialize(DEFAULT_CAPS.materialize_max_n + 1)
 
 
+def test_cap_overrides_take_only_non_negative_ints():
+    assert DEFAULT_CAPS.with_overrides(materialize_max_n=0).materialize_max_n == 0
+    for bad in ("13", 13.0, True, False, -1, None):
+        with pytest.raises(ValueError, match="materialize_max_n"):
+            DEFAULT_CAPS.with_overrides(materialize_max_n=bad)
+    with pytest.raises(ValueError, match="unknown"):
+        DEFAULT_CAPS.with_overrides(no_such_cap=1)
+
+
 def test_extension_map_counts_and_examples():
     em = extension_map(2)
     assert em.erstwhile == (1, 2, 3)

@@ -1,5 +1,9 @@
 """Triangle counts: exact kernel, claimed and corrected recursions, incidence."""
 
+import subprocess
+import sys
+from itertools import combinations
+
 import pytest
 
 from setgraphs import (
@@ -18,6 +22,8 @@ from setgraphs import (
     triangle_count_exact,
 )
 from setgraphs.config import DEFAULT_CAPS
+from setgraphs.core import MaterializedGraph
+from setgraphs.holes import _complement_triangles
 from setgraphs.oracle import SmallGraph
 
 # frozen from exhaustive triple enumeration
@@ -45,6 +51,72 @@ def test_exact_matches_triple_enumeration():
         g = materialize(n)
         triples = enum_triangles(SmallGraph.from_materialized(g))
         assert len(triples) == triangle_count_exact(g)
+
+
+def test_exact_matches_networkx_triangles():
+    nx = pytest.importorskip("networkx")
+    for n in range(1, 8):
+        top = 1 << n
+        graph = nx.Graph()
+        graph.add_nodes_from(range(1, top))
+        graph.add_edges_from(
+            (u, w) for u in range(1, top) for w in range(u + 1, top) if u & w
+        )
+        h = sum(nx.triangles(graph).values()) // 3
+        assert h == triangle_count_exact(materialize(n))
+
+
+def test_complement_triangles_match_closed_form():
+    # pairwise-disjoint triples of non-empty subsets: send each element to
+    # one of three labelled sets or to none, drop assignments leaving a set
+    # empty (inclusion-exclusion), and forget the 3! orders of the sets
+    for n in range(1, 11):
+        closed = (4**n - 3 * 3**n + 3 * 2**n - 1) // 6
+        assert _complement_triangles(materialize(n)) == closed
+
+
+def test_exact_kernel_on_arbitrary_graphs():
+    # Goodman's identity holds for every graph, not only for G(n)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        v = data.draw(st.integers(0, 12))
+        pairs = list(combinations(range(v), 2))
+        edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        rows = [0] * v
+        for a, b in edges:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+        brute = sum(
+            1 for a, b, c in combinations(range(v), 3)
+            if {(a, b), (a, c), (b, c)} <= edges
+        )
+        # the kernel reads only the rows; n feeds the cap check alone
+        assert triangle_count_exact(MaterializedGraph(1, tuple(rows))) == brute
+
+    check()
+
+
+def test_symmetry_checks_run_under_optimize_flag():
+    # rows 0 -> {1, 2}, 1 -> {2}, 2 -> {} are not symmetric, which makes the
+    # doubled degree, edge and incidence sums odd; under -O an assert would
+    # be skipped, so each check must raise by itself
+    code = """
+from setgraphs import MaterializedGraph, edge_count_brute, primitive_degree
+from setgraphs import triangle_count_exact
+g = MaterializedGraph(2, (0b110, 0b100, 0b000))
+for check in (triangle_count_exact, edge_count_brute, lambda g: primitive_degree(g, 1)):
+    try:
+        check(g)
+    except ValueError:
+        continue
+    raise SystemExit(f"no error from {check}")
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
 
 
 def test_claimed_recursion_pinned():
