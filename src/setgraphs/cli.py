@@ -9,7 +9,9 @@ Usage:
     setgraph mela [--max-index K] [--format {json,md}] [--out PATH]
 
 A JSON config file (--config) may preset max_n, threads, format, out, and cap
-overrides; explicit flags win. Exit codes: 0 success, 2 usage error,
+overrides; explicit flags win. max_n, max_index and threads must be plain
+integers. threads (and --threads) is accepted and ignored by every command:
+each one runs on a single thread. Exit codes: 0 success, 2 usage error,
 3 resource-guard refusal, 1 other execution errors. Refuted claims are
 findings, not errors: verify still exits 0.
 """
@@ -24,7 +26,7 @@ from pathlib import Path
 
 from . import holes, invariants, parameters, verify
 from .mela import check_closure, check_divisibility, mela as mela_sequence
-from .config import CANONICAL_ORDER_TAG, DEFAULT_CAPS, CapExceeded, Caps
+from .config import CANONICAL_ORDER_TAG, DEFAULT_CAPS, CapExceeded, Caps, check_int
 from .core import (
     canonical_masks,
     edges_by_mask,
@@ -35,6 +37,7 @@ from .core import (
 )
 
 SEQUENCE_METRICS = ("vertices", "edges", "holes", "degree_min", "degree_max", "mela")
+THREADS_HELP = "accepted and ignored; every command runs on one thread"
 
 
 def _node_id(n: int, m: int) -> str:
@@ -208,12 +211,14 @@ def _setting(args, config: dict, key: str, default):
     return config.get(key, default)
 
 
+def _int_setting(args, config: dict, key: str, default: int, minimum: int = 0) -> int:
+    """An integer setting; a bool, float or string in the config is a usage error."""
+    return check_int(key, _setting(args, config, key, default), minimum)
+
+
 def _thread_count(args, config: dict) -> int:
     """The requested worker count, clamped to the machine's CPU count."""
-    threads = int(_setting(args, config, "threads", 1))
-    if threads < 1:
-        raise ValueError(f"worker count must be >= 1, got {threads}")
-    return min(threads, os.cpu_count() or 1)
+    return min(_int_setting(args, config, "threads", 1, minimum=1), os.cpu_count() or 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("n", type=int)
     p_inv.add_argument("--table", choices=["degrees", "tightness"],
                        help="emit per-vertex 'label,mask,value' CSV rows instead")
-    p_inv.add_argument("--threads", type=int)
+    p_inv.add_argument("--threads", type=int, help=THREADS_HELP)
     p_inv.add_argument("--out")
 
     p_seq = sub.add_parser("sequence", help="one row per n: 'n,value'")
@@ -246,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-n", dest="max_n", type=int)
     p_verify.add_argument("--format", choices=["json", "md"], default=None)
     p_verify.add_argument("--out")
-    p_verify.add_argument("--threads", type=int)
+    p_verify.add_argument("--threads", type=int, help=THREADS_HELP)
 
     p_mela = sub.add_parser("mela", help="closure and divisibility checks for Mela numbers")
     p_mela.add_argument("--max-index", dest="max_index", type=int)
@@ -281,18 +286,18 @@ def main(argv=None) -> int:
                 report = invariant_report(args.n, threads=threads, caps=caps)
                 _emit(json.dumps(report, indent=2) + "\n", out)
         elif args.command == "sequence":
-            max_n = int(_setting(args, config, "max_n", 10))
+            max_n = _int_setting(args, config, "max_n", 10)
             rows = sequence_rows(args.metric, max_n, caps=caps)
             _emit("".join(f"{n},{value}\n" for n, value in rows), out)
         elif args.command == "verify":
             selection = _setting(args, config, "claims", "all")
-            max_n = int(_setting(args, config, "max_n", 9))
+            max_n = _int_setting(args, config, "max_n", 9)
             threads = _thread_count(args, config)
             fmt = _setting(args, config, "format", "json")
             verdicts = verify.run_claims(selection, max_n, caps=caps, threads=threads)
             _emit(verify.render_report(verdicts, fmt, max_n=max_n, caps=caps), out)
         elif args.command == "mela":
-            max_index = int(_setting(args, config, "max_index", 20))
+            max_index = _int_setting(args, config, "max_index", 20)
             fmt = _setting(args, config, "format", "json")
             verdicts = [
                 check_closure(max_index, caps=caps),

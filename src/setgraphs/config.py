@@ -18,6 +18,13 @@ class CapExceeded(ValueError):
     """A requested computation exceeds its configured resource cap."""
 
 
+def check_int(what: str, value, minimum: int = 0) -> int:
+    """Return value if it is an int (bool excluded) of at least minimum, else raise ValueError."""
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Caps:
     """Per-subsystem size limits.
@@ -50,8 +57,7 @@ class Caps:
         if unknown:
             raise ValueError(f"unknown cap name(s): {sorted(unknown)}")
         for name, value in kwargs.items():
-            if type(value) is not int or value < 0:
-                raise ValueError(f"cap {name} must be a non-negative integer, got {value!r}")
+            check_int(f"cap {name}", value)
         return dataclasses.replace(self, **kwargs)
 
     def as_dict(self) -> dict[str, int]:

@@ -58,12 +58,7 @@ def mask_of_elements(elements) -> int:
 
 def elements_of_mask(m: int) -> tuple[int, ...]:
     """1-based element indices of a mask, ascending."""
-    out = []
-    while m:
-        low = m & -m
-        out.append(low.bit_length())
-        m ^= low
-    return tuple(out)
+    return tuple(p + 1 for p in _bit_positions(m))
 
 
 def subset_str(m: int) -> str:
@@ -130,6 +125,7 @@ def canonical_index(n: int, m: int) -> int:
 
 
 def _bit_positions(m: int) -> Iterator[int]:
+    """0-based positions of the set bits of m, ascending."""
     while m:
         low = m & -m
         yield low.bit_length() - 1

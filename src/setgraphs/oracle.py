@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .config import CapExceeded
-from .core import MaterializedGraph
+from .core import MaterializedGraph, _bit_positions
 
 ENUM_TRIANGLES_MAX_VERTICES = 1 << 13
 CLIQUE_MAX_VERTICES = 63
@@ -66,7 +66,7 @@ class SmallGraph:
                 raise ValueError(f"self-loop at vertex {u}")
             if row >> self.num_vertices:
                 raise ValueError(f"row {u} has bits beyond the vertex range")
-            for v in _bits(row):
+            for v in _bit_positions(row):
                 if not self.rows[v] >> u & 1:
                     raise ValueError(f"asymmetric pair ({u}, {v})")
 
@@ -75,7 +75,7 @@ class SmallGraph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u, row in enumerate(self.rows):
-            for v in _bits(row >> (u + 1)):
+            for v in _bit_positions(row >> (u + 1)):
                 yield u, u + 1 + v
 
     def without_edge(self, u: int, v: int) -> "SmallGraph":
@@ -88,16 +88,9 @@ class SmallGraph:
         """Graph with vertex u renamed perm[u]."""
         rows = [0] * self.num_vertices
         for u, row in enumerate(self.rows):
-            for v in _bits(row):
+            for v in _bit_positions(row):
                 rows[perm[u]] |= 1 << perm[v]
         return SmallGraph(self.num_vertices, tuple(rows))
-
-
-def _bits(m: int) -> Iterator[int]:
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
 
 
 def _check_cap(g: SmallGraph, cap: int, what: str) -> None:
@@ -111,9 +104,9 @@ def enum_triangles(g: SmallGraph) -> list[tuple[int, int, int]]:
     out = []
     for u, row in enumerate(g.rows):
         suc_u = row >> (u + 1) << (u + 1)
-        for v in _bits(suc_u):
+        for v in _bit_positions(suc_u):
             common = suc_u & g.rows[v] & ~((1 << (v + 1)) - 1)
-            for w in _bits(common):
+            for w in _bit_positions(common):
                 out.append((u, v, w))
     return out
 
@@ -140,11 +133,11 @@ def max_cliques_exact(g: SmallGraph) -> list[tuple[int, ...]]:
                 best.append(r)
             return
         pivot, hits = -1, -1
-        for u in _bits(p | x):
+        for u in _bit_positions(p | x):
             c = (p & rows[u]).bit_count()
             if c > hits:
                 hits, pivot = c, u
-        for v in _bits(p & ~rows[pivot]):
+        for v in _bit_positions(p & ~rows[pivot]):
             vb = 1 << v
             expand(r | vb, p & rows[v], x & rows[v])
             p &= ~vb
@@ -152,7 +145,7 @@ def max_cliques_exact(g: SmallGraph) -> list[tuple[int, ...]]:
 
     if g.num_vertices:
         expand(0, (1 << g.num_vertices) - 1, 0)
-    return sorted(tuple(_bits(c)) for c in best)
+    return sorted(tuple(_bit_positions(c)) for c in best)
 
 
 def chromatic_exact(g: SmallGraph) -> int:
@@ -170,7 +163,7 @@ def chromatic_exact(g: SmallGraph) -> int:
             return True
         u = order[i]
         forbidden = 0
-        for w in _bits(g.rows[u]):
+        for w in _bit_positions(g.rows[u]):
             if colors[w] >= 0:
                 forbidden |= 1 << colors[w]
         # trying at most one fresh color breaks color-class symmetry
@@ -202,7 +195,7 @@ def mis_exact(g: SmallGraph) -> int:
             best = max(best, size)
             return
         v, hits = -1, -1
-        for u in _bits(p):
+        for u in _bit_positions(p):
             c = (p & rows[u]).bit_count()
             if c > hits:
                 hits, v = c, u
@@ -235,11 +228,11 @@ def dominating_exact(g: SmallGraph) -> int:
             return
         pending = ~dominated & full
         u, options = -1, v_count + 1
-        for w in _bits(pending):
+        for w in _bit_positions(pending):
             c = closed[w].bit_count()
             if c < options:
                 options, u = c, w
-        for w in _bits(closed[u]):
+        for w in _bit_positions(closed[u]):
             rec(dominated | closed[w], size + 1)
 
     rec(0, 0)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .config import DEFAULT_CAPS, CapExceeded, Caps
 from .core import (
     MaterializedGraph,
+    _bit_positions,
     adjacent,
     canonical_masks,
     check_ground_size,
@@ -191,11 +192,8 @@ class ExplosionState:
         everyone = ((1 << self.num_vertices) - 1) & ~(1 << idx)
         added = everyone & ~self.rows[idx]
         self.rows[idx] = everyone
-        rest = added
-        while rest:
-            low = rest & -rest
-            self.rows[low.bit_length() - 1] |= 1 << idx
-            rest ^= low
+        for v in _bit_positions(added):
+            self.rows[v] |= 1 << idx
         self.exploded.append(idx)
 
     def is_complete(self) -> bool:

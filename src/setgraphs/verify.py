@@ -1,11 +1,15 @@
 """Claims registry and adjudication harness.
 
 Twenty-two claims about subset intersection graphs (C1-C22) are registered
-here, each with a formula path and an independent oracle path. The runner
-evaluates a selection over a range of ground-set sizes, clamping every claim
-to the range its oracle can afford and recording the clamp in the verdict
-notes. Verdicts are a pure function of (selection, max_n, caps): no clock,
-no randomness, no environment.
+here, each with a formula route and an independent explicit-graph route.
+Most claims are data: a `_swept` entry gives the cap of its range, an
+optional second cut for a costlier route, its notes, and a `_cN` probe that
+compares the two routes at one n. One runner sweeps n over the clamped range,
+refutes at the first disagreement, and records every clamp in the verdict
+notes. C10 and C16 (notes tied to one branch or one n), C19 (a range over m),
+C20 (state carried across n) and C21/C22 (delegated to the Mela module) keep
+a check of their own. Verdicts are a pure function of (selection, max_n,
+caps): no clock, no randomness, no environment.
 
 A refutation is a finding, not a failure; the runner never raises on one.
 """
@@ -13,7 +17,6 @@ A refutation is a finding, not a failure; the runner never raises on one.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from typing import Callable
@@ -62,7 +65,7 @@ def _refuted(claim_id: str, ns, counterexample: dict, notes=()) -> ClaimVerdict:
     return ClaimVerdict(claim_id, tuple(ns), REFUTED, counterexample, tuple(notes))
 
 
-def _clamp(claim_id: str, min_n: int, max_n: int, cap: int):
+def _clamp(min_n: int, max_n: int, cap: int):
     """Applicable range plus a clamp note when the cap bites."""
     top = min(max_n, cap)
     ns = list(range(min_n, top + 1))
@@ -72,181 +75,139 @@ def _clamp(claim_id: str, min_n: int, max_n: int, cap: int):
     return ns, notes
 
 
+def _swept(
+    claim_id: str, description: str, anchor: str, min_n: int,
+    probe: Callable[[int, Caps, int | None], dict | None],
+    cap: Callable[[Caps], int],
+    *,
+    top: Callable[[Caps], int] | None = None,
+    skip: str = "",
+    notes: tuple[str, ...] = (),
+    refuted_note: str | None = None,
+) -> Claim:
+    """A claim decided by sweeping n upward over the range that cap(caps) allows.
+
+    An empty range is SKIPPED with skip.format(cap=...) when skip is given.
+    probe(n, caps, top) compares the two routes at one n and returns None or
+    a counterexample; top = min(max_n, top(caps)) bounds a costlier route. The
+    first counterexample refutes over the sizes swept so far (with the clamp
+    notes and refuted_note, if one is given); otherwise the verdict carries
+    the clamp notes and `notes` formatted with {top} and {last}, the last n.
+    """
+
+    def check(max_n: int, caps: Caps) -> ClaimVerdict:
+        bound = cap(caps)
+        ns, clamp_notes = _clamp(min_n, max_n, bound)
+        if skip and not ns:
+            return _skipped(claim_id, skip.format(cap=bound))
+        cut = min(max_n, top(caps)) if top else None
+        for n in ns:
+            counterexample = probe(n, caps, cut)
+            if counterexample is not None:
+                extra = clamp_notes + [refuted_note] if refuted_note else ()
+                return _refuted(claim_id, range(ns[0], n + 1), counterexample, extra)
+        last = ns[-1] if ns else 0
+        return _confirmed(
+            claim_id, ns, clamp_notes + [note.format(top=cut, last=last) for note in notes]
+        )
+
+    return Claim(claim_id, description, anchor, min_n, check)
+
+
 # --- degree and order claims -------------------------------------------------
 
 
-def _check_c1(max_n: int, caps: Caps) -> ClaimVerdict:
-    ns, notes = _clamp("C1", 1, max_n, caps.count_max_n)
-    enum_top = min(max_n, 12, caps.materialize_max_n)
-    for n in ns:
-        v = vertex_count(n, caps=caps)
-        if v != (1 << n) - 1 or v % 2 == 0:
-            return _refuted("C1", range(1, n + 1), {"n": n, "expected": (1 << n) - 1, "actual": v})
-        if n <= enum_top and len(canonical_masks(n)) != v:
-            return _refuted(
-                "C1", range(1, n + 1),
-                {"n": n, "expected": v, "actual": len(canonical_masks(n))},
-            )
-    notes.append(f"vertex enumeration cross-checked for n <= {enum_top}")
-    return _confirmed("C1", ns, notes)
+def _c1(n: int, caps: Caps, top: int | None) -> dict | None:
+    v = vertex_count(n, caps=caps)
+    if v != (1 << n) - 1 or v % 2 == 0:
+        return {"n": n, "expected": (1 << n) - 1, "actual": v}
+    if n <= top and len(canonical_masks(n)) != v:
+        return {"n": n, "expected": v, "actual": len(canonical_masks(n))}
 
 
-def _check_c2(max_n: int, caps: Caps) -> ClaimVerdict:
-    cap = min(10, caps.materialize_max_n)
-    ns, notes = _clamp("C2", 1, max_n, cap)
-    if not ns:
-        return _skipped("C2", f"needs n >= 1 within oracle cap {cap}")
-    for n in ns:
-        g = materialize(n, caps=caps)
-        degrees_by_card: dict[int, set[int]] = {}
-        for m, row in zip(g.masks, g.rows):
-            degrees_by_card.setdefault(m.bit_count(), set()).add(row.bit_count())
-        for k, seen in degrees_by_card.items():
-            if len(seen) != 1:
-                return _refuted(
-                    "C2",
-                    range(ns[0], n + 1),
-                    {"n": n, "expected": "one degree per cardinality",
-                     "actual": {"cardinality": k, "degrees": sorted(seen)}},
-                )
-    notes.append("degrees read from explicit adjacency rows")
-    return _confirmed("C2", ns, notes)
+def _c2(n: int, caps: Caps, top: int | None) -> dict | None:
+    g = materialize(n, caps=caps)
+    degrees_by_card: dict[int, set[int]] = {}
+    for m, row in zip(g.masks, g.rows):
+        degrees_by_card.setdefault(m.bit_count(), set()).add(row.bit_count())
+    for k, seen in degrees_by_card.items():
+        if len(seen) != 1:
+            return {"n": n, "expected": "one degree per cardinality",
+                    "actual": {"cardinality": k, "degrees": sorted(seen)}}
 
 
-def _check_c3(max_n: int, caps: Caps) -> ClaimVerdict:
-    ns, notes = _clamp("C3", 1, max_n, caps.count_max_n)
-    brute_top = min(max_n, 10, caps.materialize_max_n)
-    for n in ns:
-        lo, hi = invariants.degree_extremes(n, caps=caps)
-        for k in range(1, n + 1):
-            d = invariants.degree_closed(n, k)
-            if not lo <= d <= hi:
-                return _refuted("C3", range(ns[0], n + 1), {"n": n, "expected": [lo, hi], "actual": d})
-        if n <= brute_top:
-            g = materialize(n, caps=caps)
-            degs = [row.bit_count() for row in g.rows]
-            if min(degs) != lo or max(degs) != hi:
-                return _refuted(
-                    "C3", range(ns[0], n + 1),
-                    {"n": n, "expected": [lo, hi], "actual": [min(degs), max(degs)]},
-                )
-    notes.append(f"explicit-row extremes cross-checked for n <= {brute_top}")
-    notes.append(
-        "the stated maximum degree is read as 2^n - 2 = 2(2^(n-1) - 1); a literal "
-        "'2n - 2' would contradict the universal full-set vertex on 2^n - 1 vertices"
+def _c3(n: int, caps: Caps, top: int | None) -> dict | None:
+    lo, hi = invariants.degree_extremes(n, caps=caps)
+    for k in range(1, n + 1):
+        d = invariants.degree_closed(n, k)
+        if not lo <= d <= hi:
+            return {"n": n, "expected": [lo, hi], "actual": d}
+    if n <= top:
+        degs = [row.bit_count() for row in materialize(n, caps=caps).rows]
+        if min(degs) != lo or max(degs) != hi:
+            return {"n": n, "expected": [lo, hi], "actual": [min(degs), max(degs)]}
+
+
+def _c4(n: int, caps: Caps, top: int | None) -> dict | None:
+    lo, hi = invariants.degree_extremes(n, caps=caps)
+    if hi != 2 * lo:
+        return {"n": n, "expected": 2 * lo, "actual": hi}
+
+
+def _c5(n: int, caps: Caps, top: int | None) -> dict | None:
+    _, hi = invariants.degree_extremes(n, caps=caps)
+    attained = sum(
+        comb(n, k) for k in range(1, n + 1) if invariants.degree_closed(n, k) == hi
     )
-    return _confirmed("C3", ns, notes)
+    if attained != 1:
+        return {"n": n, "expected": 1, "actual": attained}
+    if n <= top:
+        g = materialize(n, caps=caps)
+        hits = [i for i, row in enumerate(g.rows) if row.bit_count() == hi]
+        if hits != [g.num_vertices - 1]:
+            return {"n": n, "expected": [g.num_vertices - 1], "actual": hits}
 
 
-def _check_c4(max_n: int, caps: Caps) -> ClaimVerdict:
-    ns, notes = _clamp("C4", 2, max_n, min(12, caps.count_max_n))
-    if not ns:
-        return _skipped("C4", "needs n >= 2")
-    for n in ns:
-        lo, hi = invariants.degree_extremes(n, caps=caps)
-        if hi != 2 * lo:
-            return _refuted("C4", range(ns[0], n + 1), {"n": n, "expected": 2 * lo, "actual": hi})
-    return _confirmed("C4", ns, notes)
-
-
-def _check_c5(max_n: int, caps: Caps) -> ClaimVerdict:
-    ns, notes = _clamp("C5", 2, max_n, min(12, caps.count_max_n))
-    if not ns:
-        return _skipped("C5", "needs n >= 2")
-    brute_top = min(max_n, 10, caps.materialize_max_n)
-    for n in ns:
-        _, hi = invariants.degree_extremes(n, caps=caps)
-        attained = sum(
-            comb(n, k)
-            for k in range(1, n + 1)
-            if invariants.degree_closed(n, k) == hi
-        )
-        if attained != 1:
-            return _refuted("C5", range(ns[0], n + 1), {"n": n, "expected": 1, "actual": attained})
-        if n <= brute_top:
-            g = materialize(n, caps=caps)
-            hits = [i for i, row in enumerate(g.rows) if row.bit_count() == hi]
-            if hits != [g.num_vertices - 1]:
-                return _refuted(
-                    "C5", range(ns[0], n + 1),
-                    {"n": n, "expected": [g.num_vertices - 1], "actual": hits},
-                )
-    notes.append(f"exhaustive degree scan for n <= {brute_top}")
-    return _confirmed("C5", ns, notes)
-
-
-def _check_c6(max_n: int, caps: Caps) -> ClaimVerdict:
-    ns, notes = _clamp("C6", 2, max_n, min(12, caps.count_max_n))
-    if not ns:
-        return _skipped("C6", "needs n >= 2")
-    for n in ns:
-        lo, hi = invariants.degree_extremes(n, caps=caps)
-        if lo % 2 != 1 or hi % 2 != 0:
-            return _refuted(
-                "C6", range(ns[0], n + 1),
-                {"n": n, "expected": "odd min, even max", "actual": [lo, hi]},
-            )
-    return _confirmed("C6", ns, notes)
+def _c6(n: int, caps: Caps, top: int | None) -> dict | None:
+    lo, hi = invariants.degree_extremes(n, caps=caps)
+    if lo % 2 != 1 or hi % 2 != 0:
+        return {"n": n, "expected": "odd min, even max", "actual": [lo, hi]}
 
 
 # --- triangle claims ----------------------------------------------------------
 
 
-def _check_c7(max_n: int, caps: Caps) -> ClaimVerdict:
-    cap = min(9, caps.materialize_max_n, caps.triangle_exact_max_n)
-    ns, notes = _clamp("C7", 2, max_n, cap)
-    if not ns:
-        return _skipped("C7", f"needs n >= 2 within oracle cap {cap}")
-    for n in ns:
-        g = materialize(n, caps=caps)
-        direct = holes.primitive_degree(g, full_mask(n))
-        formula = holes.apex_primitive_degree(n, caps=caps)
-        if direct != formula:
-            return _refuted("C7", range(ns[0], n + 1), {"n": n, "expected": formula, "actual": direct})
-    notes.append("direct per-vertex triangle incidence at the full-set vertex")
-    return _confirmed("C7", ns, notes)
+def _c7(n: int, caps: Caps, top: int | None) -> dict | None:
+    direct = holes.primitive_degree(materialize(n, caps=caps), full_mask(n))
+    formula = holes.apex_primitive_degree(n, caps=caps)
+    if direct != formula:
+        return {"n": n, "expected": formula, "actual": direct}
 
 
-def _check_c8(max_n: int, caps: Caps) -> ClaimVerdict:
-    ns, notes = _clamp("C8", 1, max_n, min(19, caps.count_max_n))
-    brute_top = min(max_n, 10, caps.materialize_max_n)
-    for n in ns:
-        rec = invariants.edge_count_recursive(n, caps=caps)
-        closed = invariants.edge_count_closed(n, caps=caps)
-        if rec != closed:
-            return _refuted("C8", range(ns[0], n + 1), {"n": n, "expected": rec, "actual": closed})
-        if n <= brute_top:
-            brute = invariants.edge_count_brute(materialize(n, caps=caps))
-            if brute != closed:
-                return _refuted("C8", range(ns[0], n + 1), {"n": n, "expected": rec, "actual": brute})
-    notes.append(f"brute-force pair scan cross-checked for n <= {brute_top}")
-    return _confirmed("C8", ns, notes)
+def _c8(n: int, caps: Caps, top: int | None) -> dict | None:
+    rec = invariants.edge_count_recursive(n, caps=caps)
+    closed = invariants.edge_count_closed(n, caps=caps)
+    if rec != closed:
+        return {"n": n, "expected": rec, "actual": closed}
+    if n <= top:
+        brute = invariants.edge_count_brute(materialize(n, caps=caps))
+        if brute != closed:
+            return {"n": n, "expected": rec, "actual": brute}
 
 
-def _check_c9(max_n: int, caps: Caps) -> ClaimVerdict:
-    ns, notes = _clamp("C9", 1, max_n, min(19, caps.count_max_n))
-    enum_top = min(max_n, 12, caps.materialize_max_n)
-    for n in ns:
-        lhs = vertex_count(n + 1, caps=caps) if n + 1 <= caps.count_max_n else None
-        if lhs is not None and lhs != 2 * vertex_count(n, caps=caps) + 1:
-            return _refuted(
-                "C9", range(ns[0], n + 1),
-                {"n": n, "expected": 2 * vertex_count(n, caps=caps) + 1, "actual": lhs},
-            )
-        if n <= enum_top:
-            em = extension_map(n, caps=caps)
-            total = len(em.erstwhile) + len(em.replicas) + 1
-            if total != 2 * len(canonical_masks(n)) + 1:
-                return _refuted(
-                    "C9", range(ns[0], n + 1),
-                    {"n": n, "expected": 2 * len(canonical_masks(n)) + 1, "actual": total},
-                )
-    notes.append(f"extension-map enumeration cross-checked for n <= {enum_top}")
-    return _confirmed("C9", ns, notes)
+def _c9(n: int, caps: Caps, top: int | None) -> dict | None:
+    lhs = vertex_count(n + 1, caps=caps) if n + 1 <= caps.count_max_n else None
+    if lhs is not None and lhs != 2 * vertex_count(n, caps=caps) + 1:
+        return {"n": n, "expected": 2 * vertex_count(n, caps=caps) + 1, "actual": lhs}
+    if n <= top:
+        em = extension_map(n, caps=caps)
+        total = len(em.erstwhile) + len(em.replicas) + 1
+        if total != 2 * len(canonical_masks(n)) + 1:
+            return {"n": n, "expected": 2 * len(canonical_masks(n)) + 1, "actual": total}
 
 
 def _check_c10(max_n: int, caps: Caps) -> ClaimVerdict:
-    ns, notes = _clamp("C10", 2, max_n, caps.clique_oracle_max_n)
+    ns, notes = _clamp(2, max_n, min(caps.clique_oracle_max_n, caps.materialize_max_n))
     if not ns:
         return _skipped("C10", "needs n >= 2 within the clique oracle cap")
     for n in ns:
@@ -259,132 +220,71 @@ def _check_c10(max_n: int, caps: Caps) -> ClaimVerdict:
             )
         if len(found.cliques) != 2:
             return _refuted(
-                "C10",
-                range(ns[0], n + 1),
-                {
-                    "n": n,
-                    "expected": 2,
-                    "actual": len(found.cliques),
-                    "witness": {"cliques": [list(c) for c in found.cliques]},
-                },
+                "C10", range(ns[0], n + 1),
+                {"n": n, "expected": 2, "actual": len(found.cliques),
+                 "witness": {"cliques": [list(c) for c in found.cliques]}},
                 notes + ["the clique order 2^(n-1) itself holds at every size tested"],
             )
     return _confirmed("C10", ns, notes)
 
 
-def _check_c11(max_n: int, caps: Caps) -> ClaimVerdict:
-    cap = min(caps.triangle_exact_max_n, caps.materialize_max_n)
-    ns, notes = _clamp("C11", 2, max_n, cap)
-    if not ns:
-        return _skipped("C11", f"needs n >= 2 within exact-count cap {cap}")
-    for n in ns:
-        stated = holes.triangle_count_claimed(n, caps=caps)
-        exact = holes.triangle_count_exact(materialize(n, caps=caps), caps=caps)
-        if stated != exact:
-            return _refuted(
-                "C11", range(ns[0], n + 1),
-                {"n": n, "expected": stated, "actual": exact},
-                notes + ["exact count via exhaustive bit-parallel edge scan"],
-            )
-    return _confirmed("C11", ns, notes)
+def _c11(n: int, caps: Caps, top: int | None) -> dict | None:
+    stated = holes.triangle_count_claimed(n, caps=caps)
+    exact = holes.triangle_count_exact(materialize(n, caps=caps), caps=caps)
+    if stated != exact:
+        return {"n": n, "expected": stated, "actual": exact}
 
 
-def _check_c12(max_n: int, caps: Caps) -> ClaimVerdict:
-    cap = min(10, caps.materialize_max_n - 1)
-    ns, notes = _clamp("C12", 1, max_n, cap)
-    if not ns:
-        return _skipped("C12", f"needs n >= 1 within oracle cap {cap}")
-    for n in ns:
-        old = invariants.tightness_vector(n, caps=caps)
-        stepped = invariants.tightness_recursion_step(n, old.values)
-        direct = invariants.tightness_vector(n + 1, caps=caps)
-        if stepped != direct.values:
-            bad = next(
-                (m, a, b)
-                for m, a, b in zip(canonical_masks(n + 1), stepped, direct.values)
-                if a != b
-            )
-            return _refuted(
-                "C12", range(ns[0], n + 1),
-                {"n": n, "expected": bad[1], "actual": bad[2], "witness": {"mask": bad[0]}},
-            )
-    notes.append("recursion output compared vertex by vertex with definition-level sums")
-    return _confirmed("C12", ns, notes)
+def _c12(n: int, caps: Caps, top: int | None) -> dict | None:
+    old = invariants.tightness_vector(n, caps=caps)
+    stepped = invariants.tightness_recursion_step(n, old.values)
+    direct = invariants.tightness_vector(n + 1, caps=caps)
+    if stepped != direct.values:
+        mask, a, b = next(
+            t for t in zip(canonical_masks(n + 1), stepped, direct.values) if t[1] != t[2]
+        )
+        return {"n": n, "expected": a, "actual": b, "witness": {"mask": mask}}
 
 
 # --- parameter claims ---------------------------------------------------------
 
 
-def _check_c13(max_n: int, caps: Caps) -> ClaimVerdict:
-    cert_top = min(12, caps.materialize_max_n)
-    ns, notes = _clamp("C13", 1, max_n, cert_top)
-    oracle_top = min(max_n, caps.chromatic_oracle_max_n)
-    for n in ns:
-        target = parameters.clique_number(n, caps=caps)
-        coloring = parameters.chromatic_coloring(n, caps=caps)
-        witness = parameters.clique_witness(n, caps=caps)
-        clique_ok = all(
-            u & v for i, u in enumerate(witness) for v in witness[i + 1 :]
-        ) and len(witness) == target
-        if coloring.color_count != target or not coloring.is_proper() or not clique_ok:
-            return _refuted(
-                "C13", range(ns[0], n + 1),
-                {"n": n, "expected": target, "actual": coloring.color_count},
-            )
-        if n <= oracle_top:
-            chi = chromatic_exact(SmallGraph.from_materialized(materialize(n, caps=caps)))
-            if chi != target:
-                return _refuted("C13", range(ns[0], n + 1), {"n": n, "expected": target, "actual": chi})
-    notes.append(
-        f"certificate (proper coloring + matching clique) for n <= {ns[-1] if ns else 0}; "
-        f"exact search for n <= {oracle_top}"
-    )
-    return _confirmed("C13", ns, notes)
+def _c13(n: int, caps: Caps, top: int | None) -> dict | None:
+    target = parameters.clique_number(n, caps=caps)
+    coloring = parameters.chromatic_coloring(n, caps=caps)
+    witness = parameters.clique_witness(n, caps=caps)
+    clique_ok = len(witness) == target and all(
+        u & v for i, u in enumerate(witness) for v in witness[i + 1 :])
+    if coloring.color_count != target or not coloring.is_proper() or not clique_ok:
+        return {"n": n, "expected": target, "actual": coloring.color_count}
+    if n <= top:
+        chi = chromatic_exact(SmallGraph.from_materialized(materialize(n, caps=caps)))
+        if chi != target:
+            return {"n": n, "expected": target, "actual": chi}
 
 
-def _check_c14(max_n: int, caps: Caps) -> ClaimVerdict:
-    ns, notes = _clamp("C14", 1, max_n, caps.mis_oracle_max_n)
-    if not ns:
-        return _skipped("C14", "nothing within the independent-set oracle cap")
-    for n in ns:
-        expected, witness = parameters.independence_number(n, caps=caps)
-        if any(u & v for i, u in enumerate(witness) for v in witness[i + 1 :]):
-            return _refuted(
-                "C14", range(ns[0], n + 1),
-                {"n": n, "expected": "independent witness", "actual": list(witness)},
-            )
-        alpha = mis_exact(SmallGraph.from_materialized(materialize(n, caps=caps)))
-        if alpha != expected:
-            return _refuted("C14", range(ns[0], n + 1), {"n": n, "expected": expected, "actual": alpha})
-    notes.append("exhaustive maximum-independent-set search")
-    return _confirmed("C14", ns, notes)
+def _c14(n: int, caps: Caps, top: int | None) -> dict | None:
+    expected, witness = parameters.independence_number(n, caps=caps)
+    if any(u & v for i, u in enumerate(witness) for v in witness[i + 1 :]):
+        return {"n": n, "expected": "independent witness", "actual": list(witness)}
+    alpha = mis_exact(SmallGraph.from_materialized(materialize(n, caps=caps)))
+    if alpha != expected:
+        return {"n": n, "expected": expected, "actual": alpha}
 
 
-def _check_c15(max_n: int, caps: Caps) -> ClaimVerdict:
-    universal_top = min(max_n, 12, caps.materialize_max_n)
-    ns, notes = _clamp("C15", 1, max_n, universal_top)
-    oracle_top = min(max_n, caps.domination_oracle_max_n)
-    for n in ns:
-        g = materialize(n, caps=caps)
-        apex_row = g.rows[g.num_vertices - 1]
-        if apex_row.bit_count() != g.num_vertices - 1:
-            return _refuted(
-                "C15", range(ns[0], n + 1),
-                {"n": n, "expected": g.num_vertices - 1, "actual": apex_row.bit_count()},
-            )
-        if n <= oracle_top:
-            gamma = dominating_exact(SmallGraph.from_materialized(g))
-            if gamma != 1:
-                return _refuted("C15", range(ns[0], n + 1), {"n": n, "expected": 1, "actual": gamma})
-    notes.append(
-        f"universal-vertex check for n <= {universal_top}; "
-        f"exact minimum dominating set for n <= {oracle_top}"
-    )
-    return _confirmed("C15", ns, notes)
+def _c15(n: int, caps: Caps, top: int | None) -> dict | None:
+    g = materialize(n, caps=caps)
+    apex_row = g.rows[g.num_vertices - 1]
+    if apex_row.bit_count() != g.num_vertices - 1:
+        return {"n": n, "expected": g.num_vertices - 1, "actual": apex_row.bit_count()}
+    if n <= top:
+        gamma = dominating_exact(SmallGraph.from_materialized(g))
+        if gamma != 1:
+            return {"n": n, "expected": 1, "actual": gamma}
 
 
 def _check_c16(max_n: int, caps: Caps) -> ClaimVerdict:
-    ns, notes = _clamp("C16", 2, max_n, caps.bondage_oracle_max_n)
+    ns, notes = _clamp(2, max_n, min(caps.bondage_oracle_max_n, caps.materialize_max_n))
     if not ns:
         return _skipped("C16", "needs n >= 2 within the bondage oracle cap")
     for n in ns:
@@ -401,44 +301,29 @@ def _check_c16(max_n: int, caps: Caps) -> ClaimVerdict:
     return _confirmed("C16", ns, notes)
 
 
-def _check_c17(max_n: int, caps: Caps) -> ClaimVerdict:
-    ns, notes = _clamp("C17", 1, max_n, caps.cover_oracle_max_n)
-    if not ns:
-        return _skipped("C17", "nothing within the vertex-cover oracle cap")
-    for n in ns:
-        expected = parameters.mcpherson_number(n, caps=caps)
-        disjoint = parameters.disjointness_graph(n, caps=caps)
-        cover = vertex_cover_exact(disjoint)
-        if cover != expected:
-            return _refuted("C17", range(ns[0], n + 1), {"n": n, "expected": expected, "actual": cover})
-        # a concrete completing sequence: every subset missing a_1, except the
-        # full set has a_1, take all non-a_1 subsets
-        masks = [m for m in canonical_masks(n) if not m & 1]
-        done = parameters.simulate_explosions(materialize(n, caps=caps), masks)
-        if done != expected:
-            return _refuted(
-                "C17", range(ns[0], n + 1),
-                {"n": n, "expected": expected, "actual": done,
-                 "witness": {"explosion_order": masks}},
-            )
-    notes.append("vertex cover of the disjointness graph plus explosion simulation")
-    return _confirmed("C17", ns, notes)
+def _c17(n: int, caps: Caps, top: int | None) -> dict | None:
+    expected = parameters.mcpherson_number(n, caps=caps)
+    cover = vertex_cover_exact(parameters.disjointness_graph(n, caps=caps))
+    if cover != expected:
+        return {"n": n, "expected": expected, "actual": cover}
+    # a concrete completing sequence: every subset missing a_1, except the
+    # full set has a_1, take all non-a_1 subsets
+    masks = [m for m in canonical_masks(n) if not m & 1]
+    done = parameters.simulate_explosions(materialize(n, caps=caps), masks)
+    if done != expected:
+        return {"n": n, "expected": expected, "actual": done,
+                "witness": {"explosion_order": masks}}
 
 
-def _check_c18(max_n: int, caps: Caps) -> ClaimVerdict:
-    ns, notes = _clamp("C18", 1, max_n, min(19, caps.count_max_n))
-    brute_top = min(max_n, 10, caps.materialize_max_n)
-    for n in ns:
-        twice_edges = 2 * invariants.edge_count_closed(n, caps=caps)
-        checksum = invariants.tightness_checksum(n, caps=caps)
-        if checksum != twice_edges:
-            return _refuted("C18", range(ns[0], n + 1), {"n": n, "expected": twice_edges, "actual": checksum})
-        if n <= brute_top:
-            direct = sum(invariants.tightness_vector(n, caps=caps).values)
-            if direct != twice_edges:
-                return _refuted("C18", range(ns[0], n + 1), {"n": n, "expected": twice_edges, "actual": direct})
-    notes.append(f"definition-level tightness sums cross-checked for n <= {brute_top}")
-    return _confirmed("C18", ns, notes)
+def _c18(n: int, caps: Caps, top: int | None) -> dict | None:
+    twice_edges = 2 * invariants.edge_count_closed(n, caps=caps)
+    checksum = invariants.tightness_checksum(n, caps=caps)
+    if checksum != twice_edges:
+        return {"n": n, "expected": twice_edges, "actual": checksum}
+    if n <= top:
+        direct = sum(invariants.tightness_vector(n, caps=caps).values)
+        if direct != twice_edges:
+            return {"n": n, "expected": twice_edges, "actual": direct}
 
 
 def _check_c19(max_n: int, caps: Caps) -> ClaimVerdict:
@@ -448,15 +333,13 @@ def _check_c19(max_n: int, caps: Caps) -> ClaimVerdict:
         count = len(enum_triangles(SmallGraph.complete(m)))
         if count != comb(m, 3):
             return _refuted("C19", range(1, m + 1), {"n": m, "expected": comb(m, 3), "actual": count})
-    return _confirmed(
-        "C19", ms, [f"complete graphs on 1..{top} vertices, exhaustive enumeration"]
-    )
+    return _confirmed("C19", ms, [f"complete graphs on 1..{top} vertices, exhaustive enumeration"])
 
 
 def _check_c20(max_n: int, caps: Caps) -> ClaimVerdict:
     top = min(max_n, 12, caps.corrected_max_n)
     exact_top = min(top, 9, caps.triangle_exact_max_n, caps.materialize_max_n)
-    ns, notes = _clamp("C20", 1, max_n, top)
+    ns, notes = _clamp(1, max_n, top)
     values = {}
     for n in ns:
         corrected = holes.triangle_count_corrected(n, caps=caps)
@@ -475,10 +358,8 @@ def _check_c20(max_n: int, caps: Caps) -> ClaimVerdict:
                 "C20", range(ns[0], n + 1),
                 {"n": n, "expected": f">= {values[n - 1]}", "actual": values[n]},
             )
-    notes.append(
-        f"exact counts for n <= {exact_top}, corrected recursion beyond "
-        "(the two agree on the overlap)"
-    )
+    notes.append(f"exact counts for n <= {exact_top}, corrected recursion beyond "
+                 "(the two agree on the overlap)")
     return _confirmed("C20", ns, notes)
 
 
@@ -494,42 +375,84 @@ def _check_c22(max_n: int, caps: Caps) -> ClaimVerdict:
 
 
 REGISTRY: tuple[Claim, ...] = (
-    Claim("C1", "the graph has an odd number of vertices, 2^n - 1",
-          "|V(G(n))| = 2^n - 1, odd", 1, _check_c1),
-    Claim("C2", "vertices whose subsets have equal cardinality share one degree",
-          "d(v_{s,i}) = d(v_{s,j})", 1, _check_c2),
-    Claim("C3", "every degree lies between 2^(n-1) - 1 and 2(2^(n-1) - 1)",
-          "2^(n-1) - 1 <= d(v) <= 2(2^(n-1) - 1)", 1, _check_c3),
-    Claim("C4", "the maximum degree is exactly twice the minimum degree",
-          "max_deg(G) = 2 * min_deg(G)", 2, _check_c4),
-    Claim("C5", "exactly one vertex, the full set, attains the maximum degree",
-          "unique vertex of maximum degree", 2, _check_c5),
-    Claim("C6", "the minimum degree is odd and the maximum degree is even",
-          "min_deg odd, max_deg even", 2, _check_c6),
-    Claim("C7", "the full-set vertex lies on |E| - max_deg triangles",
-          "dp(v_{n,1}) = |E(G)| - max_deg(G)", 2, _check_c7),
-    Claim("C8", "edge recursion E(n+1) = 3E(n) + V(n) + C(V(n)+1, 2) matches direct counts",
-          "|E(G(n+1))| = 3|E(G(n))| + |V(G(n))| + C(|V(G(n))|+1, 2)", 1, _check_c8),
-    Claim("C9", "vertex recursion V(n+1) = 2V(n) + 1",
-          "|V(G(n+1))| = 2|V(G(n))| + 1", 1, _check_c9),
+    _swept("C1", "the graph has an odd number of vertices, 2^n - 1",
+           "|V(G(n))| = 2^n - 1, odd", 1, _c1,
+           lambda c: c.count_max_n, top=lambda c: min(12, c.materialize_max_n),
+           notes=("vertex enumeration cross-checked for n <= {top}",)),
+    _swept("C2", "vertices whose subsets have equal cardinality share one degree",
+           "d(v_{s,i}) = d(v_{s,j})", 1, _c2,
+           lambda c: min(10, c.materialize_max_n), skip="needs n >= 1 within oracle cap {cap}",
+           notes=("degrees read from explicit adjacency rows",)),
+    _swept("C3", "every degree lies between 2^(n-1) - 1 and 2(2^(n-1) - 1)",
+           "2^(n-1) - 1 <= d(v) <= 2(2^(n-1) - 1)", 1, _c3,
+           lambda c: c.count_max_n, top=lambda c: min(10, c.materialize_max_n),
+           notes=(
+               "explicit-row extremes cross-checked for n <= {top}",
+               "the stated maximum degree is read as 2^n - 2 = 2(2^(n-1) - 1); a literal "
+               "'2n - 2' would contradict the universal full-set vertex on 2^n - 1 vertices",
+           )),
+    _swept("C4", "the maximum degree is exactly twice the minimum degree",
+           "max_deg(G) = 2 * min_deg(G)", 2, _c4,
+           lambda c: min(12, c.count_max_n), skip="needs n >= 2"),
+    _swept("C5", "exactly one vertex, the full set, attains the maximum degree",
+           "unique vertex of maximum degree", 2, _c5,
+           lambda c: min(12, c.count_max_n), top=lambda c: min(10, c.materialize_max_n),
+           skip="needs n >= 2", notes=("exhaustive degree scan for n <= {top}",)),
+    _swept("C6", "the minimum degree is odd and the maximum degree is even",
+           "min_deg odd, max_deg even", 2, _c6,
+           lambda c: min(12, c.count_max_n), skip="needs n >= 2"),
+    _swept("C7", "the full-set vertex lies on |E| - max_deg triangles",
+           "dp(v_{n,1}) = |E(G)| - max_deg(G)", 2, _c7,
+           lambda c: min(9, c.materialize_max_n, c.triangle_exact_max_n),
+           skip="needs n >= 2 within oracle cap {cap}",
+           notes=("direct per-vertex triangle incidence at the full-set vertex",)),
+    _swept("C8", "edge recursion E(n+1) = 3E(n) + V(n) + C(V(n)+1, 2) matches direct counts",
+           "|E(G(n+1))| = 3|E(G(n))| + |V(G(n))| + C(|V(G(n))|+1, 2)", 1, _c8,
+           lambda c: min(19, c.count_max_n), top=lambda c: min(10, c.materialize_max_n),
+           notes=("brute-force pair scan cross-checked for n <= {top}",)),
+    _swept("C9", "vertex recursion V(n+1) = 2V(n) + 1",
+           "|V(G(n+1))| = 2|V(G(n))| + 1", 1, _c9,
+           lambda c: min(19, c.count_max_n),
+           top=lambda c: min(12, c.materialize_max_n, c.count_max_n - 1),
+           notes=("extension-map enumeration cross-checked for n <= {top}",)),
     Claim("C10", "the graph has exactly two largest complete subgraphs, of order 2^(n-1)",
           "exactly two largest complete subgraphs K_{2^(n-1)}", 2, _check_c10),
-    Claim("C11", "triangle recursion h(n+1) = h(n) + C(2^n, 3) + 4|E(n)| matches the exact count",
-          "h(G(n+1)) = h(G(n)) + C(2^n, 3) + 4|E(G(n))|", 2, _check_c11),
-    Claim("C12", "tightness recursion: new singleton 2^n - 1; erstwhile k -> 2k + 1; replica k -> 2^n + k",
-          "tightness recursion parts (i)-(iii)", 1, _check_c12),
-    Claim("C13", "the chromatic number is 2^(n-1)",
-          "chi(G(n)) = 2^(n-1)", 1, _check_c13),
-    Claim("C14", "the independence number is n",
-          "alpha(G(n)) = n", 1, _check_c14),
-    Claim("C15", "the domination number is 1",
-          "gamma(G(n)) = 1", 1, _check_c15),
+    _swept("C11", "triangle recursion h(n+1) = h(n) + C(2^n, 3) + 4|E(n)| matches the exact count",
+           "h(G(n+1)) = h(G(n)) + C(2^n, 3) + 4|E(G(n))|", 2, _c11,
+           lambda c: min(c.triangle_exact_max_n, c.materialize_max_n),
+           skip="needs n >= 2 within exact-count cap {cap}",
+           refuted_note="exact count via exhaustive bit-parallel edge scan"),
+    _swept("C12", "tightness recursion: new singleton 2^n - 1; erstwhile k -> 2k + 1; replica k -> 2^n + k",
+           "tightness recursion parts (i)-(iii)", 1, _c12,
+           lambda c: min(10, c.materialize_max_n - 1),
+           skip="needs n >= 1 within oracle cap {cap}",
+           notes=("recursion output compared vertex by vertex with definition-level sums",)),
+    _swept("C13", "the chromatic number is 2^(n-1)",
+           "chi(G(n)) = 2^(n-1)", 1, _c13,
+           lambda c: min(12, c.materialize_max_n), top=lambda c: c.chromatic_oracle_max_n,
+           notes=("certificate (proper coloring + matching clique) for n <= {last}; "
+                  "exact search for n <= {top}",)),
+    _swept("C14", "the independence number is n",
+           "alpha(G(n)) = n", 1, _c14,
+           lambda c: min(c.mis_oracle_max_n, c.materialize_max_n),
+           skip="nothing within the independent-set oracle cap",
+           notes=("exhaustive maximum-independent-set search",)),
+    _swept("C15", "the domination number is 1",
+           "gamma(G(n)) = 1", 1, _c15,
+           lambda c: min(12, c.materialize_max_n), top=lambda c: c.domination_oracle_max_n,
+           notes=("universal-vertex check for n <= {last}; "
+                  "exact minimum dominating set for n <= {top}",)),
     Claim("C16", "the bondage number is 1",
           "b(G(n)) = 1", 2, _check_c16),
-    Claim("C17", "the McPherson number is 2^(n-1) - 1",
-          "Upsilon(G(n)) = 2^(n-1) - 1", 1, _check_c17),
-    Claim("C18", "the tightness values sum to twice the edge count",
-          "|E(G(n))| = (1/2) * sum(tightness)", 1, _check_c18),
+    _swept("C17", "the McPherson number is 2^(n-1) - 1",
+           "Upsilon(G(n)) = 2^(n-1) - 1", 1, _c17,
+           lambda c: min(c.cover_oracle_max_n, c.materialize_max_n),
+           skip="nothing within the vertex-cover oracle cap",
+           notes=("vertex cover of the disjointness graph plus explosion simulation",)),
+    _swept("C18", "the tightness values sum to twice the edge count",
+           "|E(G(n))| = (1/2) * sum(tightness)", 1, _c18,
+           lambda c: min(19, c.count_max_n), top=lambda c: min(10, c.materialize_max_n),
+           notes=("definition-level tightness sums cross-checked for n <= {top}",)),
     Claim("C19", "a complete graph on m vertices has C(m, 3) triangles",
           "h(K_m) = C(m, 3)", 1, _check_c19),
     Claim("C20", "0 <= h <= C(|V|, 3), and h never drops when the ground set grows",
@@ -570,26 +493,21 @@ def run_claims(
 ) -> list[ClaimVerdict]:
     """Adjudicate the selected claims up to ground-set size max_n.
 
-    Claims are independent; with threads > 1 they run concurrently and the
-    results are merged back in registry order. Verdicts are deterministic
-    either way.
+    Claims run one after another in registry order. Each check is looked up
+    in CLAIMS_BY_ID at call time, so a wrapper written there is the check
+    that runs. ``threads`` is accepted and ignored: the checks are pure
+    Python and would gain nothing from a pool.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
-    ids = resolve_selection(selection)
-    claims = [CLAIMS_BY_ID[cid] for cid in ids]
-
-    def run_one(claim: Claim) -> ClaimVerdict:
+    verdicts = []
+    for claim_id in resolve_selection(selection):
+        claim = CLAIMS_BY_ID[claim_id]
         if max_n < claim.min_n:
-            return _skipped(
-                claim.claim_id, f"first applicable size is n = {claim.min_n}"
-            )
-        return claim.check(max_n, caps)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_one, claims))
-    return [run_one(claim) for claim in claims]
+            verdicts.append(_skipped(claim_id, f"first applicable size is n = {claim.min_n}"))
+        else:
+            verdicts.append(claim.check(max_n, caps))
+    return verdicts
 
 
 def render_report(

@@ -252,3 +252,40 @@ def test_outputs_byte_identical_across_runs():
     build_args = ("build", "5", "--format", "csv")
     assert _run_subprocess(*verify_args) == _run_subprocess(*verify_args)
     assert _run_subprocess(*build_args) == _run_subprocess(*build_args)
+
+
+@pytest.mark.parametrize(
+    "caps, claim_id, note",
+    [
+        ({"materialize_max_n": 3}, "C10", "range clamped to n <= 3 (cap); n <= 6 requested"),
+        ({"materialize_max_n": 3}, "C14", "range clamped to n <= 3 (cap); n <= 6 requested"),
+        ({"materialize_max_n": 3}, "C16", "range clamped to n <= 3 (cap); n <= 6 requested"),
+        ({"materialize_max_n": 3}, "C17", "range clamped to n <= 3 (cap); n <= 6 requested"),
+        ({"count_max_n": 6}, "C9", "extension-map enumeration cross-checked for n <= 5"),
+    ],
+)
+def test_verify_clamps_to_lowered_caps(tmp_path, caps, claim_id, note):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"caps": caps}))
+    out = tmp_path / "r.json"
+    assert run_cli("--config", str(config), "verify", "--max-n", "6", "--out", str(out)) == 0
+    by_id = {c["id"]: c for c in json.loads(out.read_text())["claims"]}
+    assert note in by_id[claim_id]["notes"]
+
+
+@pytest.mark.parametrize("key, argv", [
+    ("max_n", ("sequence", "vertices")),
+    ("max_n", ("verify", "--claims", "C1")),
+    ("max_index", ("mela",)),
+    ("threads", ("verify", "--claims", "C1")),
+    ("threads", ("invariants", "3")),
+])
+@pytest.mark.parametrize("bad", [True, 2.9, "3", None, -1])
+def test_config_setting_must_be_an_int(tmp_path, capsys, key, argv, bad):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: bad}))
+    assert run_cli("--config", str(config), *argv, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"setgraph: {key} must be an integer")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
