@@ -151,9 +151,6 @@ class MaterializedGraph:
     def masks(self) -> tuple[int, ...]:
         return canonical_masks(self.n)
 
-    def degree(self, idx: int) -> int:
-        return self.rows[idx].bit_count()
-
     def edge_indices(self) -> Iterator[tuple[int, int]]:
         """Edges as index pairs (u, v), u < v, ascending."""
         for u, row in enumerate(self.rows):

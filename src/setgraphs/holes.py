@@ -1,6 +1,6 @@
 """Triangle (3-cycle) counting and per-vertex triangle incidence.
 
-Three routes are provided and deliberately kept apart:
+Three routes to the triangle count are provided and deliberately kept apart:
 
 * an exact count on explicit rows by Goodman's identity: C(V,3), minus half
   the sum of d(V-1-d) over the row degrees, minus the triangles of the
@@ -15,6 +15,12 @@ The complement of G(n) is the sparse disjointness graph, so the exact count
 does one AND and popcount per complement edge: about 0.8M of them at n = 13
 (8191 vertices, ~32.7M edges), against the ~33.5M vertex pairs of a sweep
 over all rows.
+
+Per-vertex incidence has two routes. primitive_degrees runs the per-vertex
+identity t(v) = |E| - d(v) - sum_{w in comp(v)} d(w) + C(V-1-d(v), 2) - t_c(v)
+on the same complement rows (t_c(v): complement triangles at v). The scalar
+primitive_degree intersects v's row with each neighbour's row; it shares no
+code with the identity, so it stays the reference for the tests and claim C7.
 """
 
 from __future__ import annotations
@@ -22,11 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-import numpy as np
-
 from .config import DEFAULT_CAPS, CapExceeded, Caps
-from .core import MaterializedGraph, _bit_positions, canonical_index
-from .core import canonical_masks, check_ground_size
+from .core import MaterializedGraph, _bit_positions, canonical_index, check_ground_size
 from .invariants import degree_closed, edge_count_closed
 
 
@@ -37,6 +40,12 @@ def h_complete(m: int) -> int:
     return comb(m, 3)
 
 
+def _complement_rows(g: MaterializedGraph) -> list[int]:
+    """Complement rows: bit w of row u is set iff w != u and u, w are not adjacent."""
+    full = (1 << g.num_vertices) - 1
+    return [full & ~row & ~(1 << u) for u, row in enumerate(g.rows)]
+
+
 def _complement_triangles(g: MaterializedGraph) -> int:
     """Triangles of the complement of g, counted on explicit complement rows.
 
@@ -44,8 +53,7 @@ def _complement_triangles(g: MaterializedGraph) -> int:
     edge (u, w), u < w, adds the common complement neighbours above w and
     every complement triangle is counted once, at its two lowest vertices.
     """
-    full = (1 << g.num_vertices) - 1
-    comp = [(full & ~row) >> (u + 1) << (u + 1) for u, row in enumerate(g.rows)]
+    comp = [row >> (u + 1) << (u + 1) for u, row in enumerate(_complement_rows(g))]
     total = 0
     for cu in comp:
         for w in _bit_positions(cu):
@@ -145,19 +153,30 @@ def primitive_degree(g: MaterializedGraph, m: int) -> int:
 
 
 def primitive_degrees(g: MaterializedGraph) -> tuple[int, ...]:
-    """Per-vertex triangle incidence in canonical order (numpy-packed)."""
+    """Per-vertex triangle incidence in canonical order, by Goodman's identity.
+
+    The triangles at v are the edges among its neighbours: the |E| - d(v)
+    edges that miss v, less those with an end among the complement
+    neighbours w of v. Summing d(w) counts each of those once, and twice the
+    C(V-1-d(v), 2) - t_c(v) edges with both ends there, where t_c(v), the
+    complement triangles at v, is half the sum of |comp[v] & comp[w]|. Every
+    sum runs over complement edges only.
+    """
     v = g.num_vertices
-    words = (v + 63) // 64 or 1
-    buf = b"".join(row.to_bytes(words * 8, "little") for row in g.rows)
-    packed = np.frombuffer(buf, dtype=np.uint64).reshape(v, words)
-    masks = np.array(canonical_masks(g.n), dtype=np.int64)
+    degrees = [row.bit_count() for row in g.rows]
+    if sum(degrees) % 2:
+        raise ValueError("rows are not symmetric: odd sum of row popcounts")
+    edges = sum(degrees) // 2
+    comp = _complement_rows(g)
     out = []
-    for u in range(v):
-        pc = np.bitwise_count(packed & packed[u]).sum(axis=1, dtype=np.int64)
-        neighbor = (masks & masks[u]) != 0
-        neighbor[u] = False
-        twice = int(pc[neighbor].sum())
-        out.append(twice // 2)
+    for d, cv in zip(degrees, comp):
+        far = shared = 0
+        for w in _bit_positions(cv):
+            far += degrees[w]
+            shared += (cv & comp[w]).bit_count()
+        if shared % 2:
+            raise ValueError("rows are not symmetric: odd doubled complement incidence")
+        out.append(edges - d - far + comb(v - 1 - d, 2) - shared // 2)
     return tuple(out)
 
 

@@ -21,11 +21,6 @@ from .core import (
 )
 
 
-def characteristic(a: int, b: int) -> int:
-    """Intersection indicator: 1 iff the two subsets share an element."""
-    return 1 if a & b else 0
-
-
 def degree_closed(n: int, k: int) -> int:
     """Degree of any vertex of cardinality k: 2^n - 2^(n-k) - 1.
 
@@ -135,7 +130,7 @@ def edge_count_brute(g: MaterializedGraph) -> int:
 def tightness(n: int, m: int) -> int:
     """Number of other non-empty subsets meeting m (definition-level sum)."""
     check_mask(n, m)
-    return sum(characteristic(m, other) for other in range(1, 1 << n) if other != m)
+    return sum(1 for other in range(1, 1 << n) if other & m) - 1
 
 
 @dataclass(frozen=True)

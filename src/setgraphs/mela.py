@@ -101,31 +101,13 @@ def check_divisibility(max_i: int, max_k: int, *, caps: Caps = DEFAULT_CAPS) -> 
             tested.append((i, k))
             mi, mki = m[i - 1], m[k * i - 1]
             if mki % mi != 0:
-                return ClaimVerdict(
-                    claim_id="C22",
-                    n_tested=tuple(range(2, max_i + 1)),
-                    status=REFUTED,
-                    counterexample={
-                        "i": i,
-                        "k": k,
-                        "m_i": mi,
-                        "m_ki": mki,
-                        "kind": "not divisible",
-                    },
-                )
-            quotient = mki // mi
-            if is_mela(quotient):
-                return ClaimVerdict(
-                    claim_id="C22",
-                    n_tested=tuple(range(2, max_i + 1)),
-                    status=REFUTED,
-                    counterexample={
-                        "i": i,
-                        "k": k,
-                        "quotient": quotient,
-                        "kind": "quotient is a Mela number",
-                    },
-                )
+                counterexample = {"i": i, "k": k, "m_i": mi, "m_ki": mki, "kind": "not divisible"}
+            elif is_mela(mki // mi):
+                counterexample = {"i": i, "k": k, "quotient": mki // mi,
+                                  "kind": "quotient is a Mela number"}
+            else:
+                continue
+            return ClaimVerdict("C22", tuple(range(2, max_i + 1)), REFUTED, counterexample)
     notes = [
         f"verified {len(tested)} (i, k) pairs with i, k >= 2",
         "i = 1 is degenerate (m_k / m_1 = m_k is always a Mela number) and is excluded",

@@ -65,14 +65,18 @@ def _refuted(claim_id: str, ns, counterexample: dict, notes=()) -> ClaimVerdict:
     return ClaimVerdict(claim_id, tuple(ns), REFUTED, counterexample, tuple(notes))
 
 
-def _clamp(min_n: int, max_n: int, cap: int):
-    """Applicable range plus a clamp note when the cap bites."""
+_EMPTY_RANGE = "needs n >= {min_n} within cap {cap}"
+
+
+def _clamp(min_n: int, max_n: int, cap: int, caps: Caps):
+    """(Effective cap, range, clamp notes); count_max_n also bounds every n-range."""
+    cap = min(cap, caps.count_max_n)
     top = min(max_n, cap)
     ns = list(range(min_n, top + 1))
     notes = []
     if max_n > cap:
         notes.append(f"range clamped to n <= {cap} (cap); n <= {max_n} requested")
-    return ns, notes
+    return cap, ns, notes
 
 
 def _swept(
@@ -81,13 +85,13 @@ def _swept(
     cap: Callable[[Caps], int],
     *,
     top: Callable[[Caps], int] | None = None,
-    skip: str = "",
+    skip: str = _EMPTY_RANGE,
     notes: tuple[str, ...] = (),
     refuted_note: str | None = None,
 ) -> Claim:
     """A claim decided by sweeping n upward over the range that cap(caps) allows.
 
-    An empty range is SKIPPED with skip.format(cap=...) when skip is given.
+    An empty range is SKIPPED with skip.format(min_n=..., cap=...).
     probe(n, caps, top) compares the two routes at one n and returns None or
     a counterexample; top = min(max_n, top(caps)) bounds a costlier route. The
     first counterexample refutes over the sizes swept so far (with the clamp
@@ -96,19 +100,17 @@ def _swept(
     """
 
     def check(max_n: int, caps: Caps) -> ClaimVerdict:
-        bound = cap(caps)
-        ns, clamp_notes = _clamp(min_n, max_n, bound)
-        if skip and not ns:
-            return _skipped(claim_id, skip.format(cap=bound))
+        bound, ns, clamp_notes = _clamp(min_n, max_n, cap(caps), caps)
+        if not ns:
+            return _skipped(claim_id, skip.format(min_n=min_n, cap=bound))
         cut = min(max_n, top(caps)) if top else None
         for n in ns:
             counterexample = probe(n, caps, cut)
             if counterexample is not None:
                 extra = clamp_notes + [refuted_note] if refuted_note else ()
                 return _refuted(claim_id, range(ns[0], n + 1), counterexample, extra)
-        last = ns[-1] if ns else 0
         return _confirmed(
-            claim_id, ns, clamp_notes + [note.format(top=cut, last=last) for note in notes]
+            claim_id, ns, clamp_notes + [note.format(top=cut, last=ns[-1]) for note in notes]
         )
 
     return Claim(claim_id, description, anchor, min_n, check)
@@ -207,7 +209,7 @@ def _c9(n: int, caps: Caps, top: int | None) -> dict | None:
 
 
 def _check_c10(max_n: int, caps: Caps) -> ClaimVerdict:
-    ns, notes = _clamp(2, max_n, min(caps.clique_oracle_max_n, caps.materialize_max_n))
+    _, ns, notes = _clamp(2, max_n, min(caps.clique_oracle_max_n, caps.materialize_max_n), caps)
     if not ns:
         return _skipped("C10", "needs n >= 2 within the clique oracle cap")
     for n in ns:
@@ -284,7 +286,7 @@ def _c15(n: int, caps: Caps, top: int | None) -> dict | None:
 
 
 def _check_c16(max_n: int, caps: Caps) -> ClaimVerdict:
-    ns, notes = _clamp(2, max_n, min(caps.bondage_oracle_max_n, caps.materialize_max_n))
+    _, ns, notes = _clamp(2, max_n, min(caps.bondage_oracle_max_n, caps.materialize_max_n), caps)
     if not ns:
         return _skipped("C16", "needs n >= 2 within the bondage oracle cap")
     for n in ns:
@@ -339,7 +341,9 @@ def _check_c19(max_n: int, caps: Caps) -> ClaimVerdict:
 def _check_c20(max_n: int, caps: Caps) -> ClaimVerdict:
     top = min(max_n, 12, caps.corrected_max_n)
     exact_top = min(top, 9, caps.triangle_exact_max_n, caps.materialize_max_n)
-    ns, notes = _clamp(1, max_n, top)
+    bound, ns, notes = _clamp(1, max_n, top, caps)
+    if not ns:
+        return _skipped("C20", _EMPTY_RANGE.format(min_n=1, cap=bound))
     values = {}
     for n in ns:
         corrected = holes.triangle_count_corrected(n, caps=caps)
@@ -364,13 +368,17 @@ def _check_c20(max_n: int, caps: Caps) -> ClaimVerdict:
 
 
 def _check_c21(max_n: int, caps: Caps) -> ClaimVerdict:
-    return check_closure(min(max_n, PRODUCT_CAP_INDEX), caps=caps)
+    bound = min(max_n, PRODUCT_CAP_INDEX, caps.mela_max_index)
+    if bound < 1:
+        return _skipped("C21", _EMPTY_RANGE.format(min_n=1, cap=bound))
+    return check_closure(bound, caps=caps)
 
 
 def _check_c22(max_n: int, caps: Caps) -> ClaimVerdict:
-    if max_n < 2:
-        return _skipped("C22", "needs index range >= 2")
-    bound = min(max_n, PRODUCT_CAP_INDEX)
+    # m_{ki} with k, i <= bound must stay within the sequence cap
+    bound = min(max_n, PRODUCT_CAP_INDEX, caps.mela_max_index // 2)
+    if bound < 2:
+        return _skipped("C22", _EMPTY_RANGE.format(min_n=2, cap=bound))
     return check_divisibility(bound, bound, caps=caps)
 
 
@@ -393,14 +401,14 @@ REGISTRY: tuple[Claim, ...] = (
            )),
     _swept("C4", "the maximum degree is exactly twice the minimum degree",
            "max_deg(G) = 2 * min_deg(G)", 2, _c4,
-           lambda c: min(12, c.count_max_n), skip="needs n >= 2"),
+           lambda c: 12, skip="needs n >= 2"),
     _swept("C5", "exactly one vertex, the full set, attains the maximum degree",
            "unique vertex of maximum degree", 2, _c5,
-           lambda c: min(12, c.count_max_n), top=lambda c: min(10, c.materialize_max_n),
+           lambda c: 12, top=lambda c: min(10, c.materialize_max_n),
            skip="needs n >= 2", notes=("exhaustive degree scan for n <= {top}",)),
     _swept("C6", "the minimum degree is odd and the maximum degree is even",
            "min_deg odd, max_deg even", 2, _c6,
-           lambda c: min(12, c.count_max_n), skip="needs n >= 2"),
+           lambda c: 12, skip="needs n >= 2"),
     _swept("C7", "the full-set vertex lies on |E| - max_deg triangles",
            "dp(v_{n,1}) = |E(G)| - max_deg(G)", 2, _c7,
            lambda c: min(9, c.materialize_max_n, c.triangle_exact_max_n),
@@ -408,11 +416,11 @@ REGISTRY: tuple[Claim, ...] = (
            notes=("direct per-vertex triangle incidence at the full-set vertex",)),
     _swept("C8", "edge recursion E(n+1) = 3E(n) + V(n) + C(V(n)+1, 2) matches direct counts",
            "|E(G(n+1))| = 3|E(G(n))| + |V(G(n))| + C(|V(G(n))|+1, 2)", 1, _c8,
-           lambda c: min(19, c.count_max_n), top=lambda c: min(10, c.materialize_max_n),
+           lambda c: 19, top=lambda c: min(10, c.materialize_max_n),
            notes=("brute-force pair scan cross-checked for n <= {top}",)),
     _swept("C9", "vertex recursion V(n+1) = 2V(n) + 1",
            "|V(G(n+1))| = 2|V(G(n))| + 1", 1, _c9,
-           lambda c: min(19, c.count_max_n),
+           lambda c: 19,
            top=lambda c: min(12, c.materialize_max_n, c.count_max_n - 1),
            notes=("extension-map enumeration cross-checked for n <= {top}",)),
     Claim("C10", "the graph has exactly two largest complete subgraphs, of order 2^(n-1)",
@@ -451,7 +459,7 @@ REGISTRY: tuple[Claim, ...] = (
            notes=("vertex cover of the disjointness graph plus explosion simulation",)),
     _swept("C18", "the tightness values sum to twice the edge count",
            "|E(G(n))| = (1/2) * sum(tightness)", 1, _c18,
-           lambda c: min(19, c.count_max_n), top=lambda c: min(10, c.materialize_max_n),
+           lambda c: 19, top=lambda c: min(10, c.materialize_max_n),
            notes=("definition-level tightness sums cross-checked for n <= {top}",)),
     Claim("C19", "a complete graph on m vertices has C(m, 3) triangles",
           "h(K_m) = C(m, 3)", 1, _check_c19),

@@ -7,7 +7,16 @@ import sys
 
 import pytest
 
-from setgraphs import adjacent, edge_count_closed, edges_by_mask, materialize, tightness
+from setgraphs import (
+    DEFAULT_CAPS,
+    SKIPPED,
+    adjacent,
+    edge_count_closed,
+    edges_by_mask,
+    materialize,
+    run_claims,
+    tightness,
+)
 from setgraphs.cli import (
     _thread_count,
     build_parser,
@@ -273,6 +282,24 @@ def test_verify_clamps_to_lowered_caps(tmp_path, caps, claim_id, note):
     assert note in by_id[claim_id]["notes"]
 
 
+@pytest.mark.parametrize("max_n", [1, 3, 7])
+@pytest.mark.parametrize("cap, value", [
+    ("count_max_n", 0), ("count_max_n", 1), ("count_max_n", 2), ("count_max_n", 5),
+    ("materialize_max_n", 0), ("corrected_max_n", 0),
+    ("mela_max_index", 0), ("mela_max_index", 3), ("mela_max_index", 5),
+])
+def test_verify_runs_under_any_lowered_cap(tmp_path, cap, value, max_n):
+    # a cap below max_n clamps or skips claims; it never stops the run
+    verdicts = run_claims("all", max_n, caps=DEFAULT_CAPS.with_overrides(**{cap: value}))
+    assert len(verdicts) == 22
+    assert all(len(v.notes) == 1 for v in verdicts if v.status == SKIPPED)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"caps": {cap: value}}))
+    out = tmp_path / "r.json"
+    assert run_cli("--config", str(config), "verify", "--max-n", str(max_n),
+                   "--out", str(out)) == 0
+
+
 @pytest.mark.parametrize("key, argv", [
     ("max_n", ("sequence", "vertices")),
     ("max_n", ("verify", "--claims", "C1")),
@@ -289,3 +316,10 @@ def test_config_setting_must_be_an_int(tmp_path, capsys, key, argv, bad):
     assert err.startswith(f"setgraph: {key} must be an integer")
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_import_leaves_numpy_out():
+    code = "import sys, setgraphs.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

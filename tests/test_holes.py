@@ -62,8 +62,10 @@ def test_exact_matches_networkx_triangles():
         graph.add_edges_from(
             (u, w) for u in range(1, top) for w in range(u + 1, top) if u & w
         )
-        h = sum(nx.triangles(graph).values()) // 3
-        assert h == triangle_count_exact(materialize(n))
+        per_vertex = nx.triangles(graph)
+        g = materialize(n)
+        assert sum(per_vertex.values()) // 3 == triangle_count_exact(g)
+        assert list(primitive_degrees(g)) == [per_vertex[m] for m in g.masks]
 
 
 def test_complement_triangles_match_closed_form():
@@ -90,12 +92,16 @@ def test_exact_kernel_on_arbitrary_graphs():
         for a, b in edges:
             rows[a] |= 1 << b
             rows[b] |= 1 << a
-        brute = sum(
-            1 for a, b, c in combinations(range(v), 3)
-            if {(a, b), (a, c), (b, c)} <= edges
-        )
+        triangles = [
+            t for t in combinations(range(v), 3)
+            if {(t[0], t[1]), (t[0], t[2]), (t[1], t[2])} <= edges
+        ]
         # the kernel reads only the rows; n feeds the cap check alone
-        assert triangle_count_exact(MaterializedGraph(1, tuple(rows))) == brute
+        g = MaterializedGraph(1, tuple(rows))
+        assert triangle_count_exact(g) == len(triangles)
+        assert primitive_degrees(g) == tuple(
+            sum(u in t for t in triangles) for u in range(v)
+        )
 
     check()
 
@@ -106,9 +112,11 @@ def test_symmetry_checks_run_under_optimize_flag():
     # be skipped, so each check must raise by itself
     code = """
 from setgraphs import MaterializedGraph, edge_count_brute, primitive_degree
-from setgraphs import triangle_count_exact
+from setgraphs import primitive_degrees, triangle_count_exact
 g = MaterializedGraph(2, (0b110, 0b100, 0b000))
-for check in (triangle_count_exact, edge_count_brute, lambda g: primitive_degree(g, 1)):
+checks = (triangle_count_exact, edge_count_brute, primitive_degrees,
+          lambda g: primitive_degree(g, 1))
+for check in checks:
     try:
         check(g)
     except ValueError:

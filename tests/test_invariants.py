@@ -3,7 +3,6 @@
 import pytest
 
 from setgraphs import (
-    characteristic,
     degree_brute,
     degree_closed,
     degree_extremes,
@@ -22,13 +21,6 @@ from setgraphs import (
 )
 
 EDGE_COUNTS = {1: 0, 2: 2, 3: 15, 4: 80, 5: 375}
-
-
-def test_characteristic():
-    assert characteristic(0b001, 0b011) == 1
-    assert characteristic(0b001, 0b010) == 0
-    for s in range(1, 32):
-        assert characteristic(s, s) == 1
 
 
 def test_degree_closed_examples():
