@@ -4,6 +4,8 @@ G(n) has one vertex per non-empty subset of {a_1, ..., a_n}; two subsets are
 adjacent when they intersect. Everything below is driven by integer masks.
 """
 
+import sys
+
 from setgraphs import (
     adjacent,
     canonical_masks,
@@ -32,4 +34,4 @@ for u, v in edges:
     print(f"  {subset_str(u)} -- {subset_str(v)}")
 
 print("\nDOT output (feed to graphviz):\n")
-print(render_dot(N))
+render_dot(N, sys.stdout)

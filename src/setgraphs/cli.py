@@ -22,14 +22,17 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from . import holes, invariants, parameters, verify
 from .mela import check_closure, check_divisibility, mela as mela_sequence
 from .config import CANONICAL_ORDER_TAG, DEFAULT_CAPS, CapExceeded, Caps, check_int
 from .core import (
+    _meeting_runs,
     canonical_masks,
-    edges_by_mask,
+    check_ground_size,
     label_of_mask,
     materialize,
     subset_str,
@@ -45,31 +48,57 @@ def _node_id(n: int, m: int) -> str:
     return f"v_{s}_{i}"
 
 
-def render_dot(n: int, *, caps: Caps = DEFAULT_CAPS) -> str:
-    edges = edges_by_mask(n, caps=caps)  # validates n up front
-    lines = [f"graph setgraph_{n} {{"]
-    for m in canonical_masks(n):
-        lines.append(f'  {_node_id(n, m)} [label="{subset_str(m)}"];')
-    for u, v in edges:
-        lines.append(f"  {_node_id(n, u)} -- {_node_id(n, v)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _write_edges(fh: TextIO, n: int, names: list[str], edge: str, between: str = "") -> None:
+    """Write every edge (u, v), u < v ascending, as edge.format(u=names[u], v=names[v]).
+
+    Consecutive edges are separated by `between`. One chunk is written per
+    u: the names of the masks meeting u above it, sliced from `names` by the
+    runs of `_meeting_runs` and joined, so no per-edge formatting happens.
+    """
+    head, tail = edge.split("{v}")
+    lead = ""
+    for u in range(1, 1 << n):
+        vs = []
+        for lo, hi in _meeting_runs(n, u):
+            vs += names[lo:hi]
+        if vs:
+            h = head.format(u=names[u])
+            fh.write(lead + h + (tail + between + h).join(vs) + tail)
+            lead = between
 
 
-def render_csv(n: int, *, caps: Caps = DEFAULT_CAPS) -> str:
-    return "".join(f"{u},{v}\n" for u, v in edges_by_mask(n, caps=caps))
+def render_dot(n: int, fh: TextIO, *, caps: Caps = DEFAULT_CAPS) -> None:
+    """Write G(n) to fh as a graphviz DOT graph: labelled vertices, then edges."""
+    check_ground_size(n, caps.materialize_max_n)
+    ids = [""] + [_node_id(n, m) for m in range(1, 1 << n)]  # indexed by mask
+    fh.write(f"graph setgraph_{n} {{\n")
+    fh.write("".join(f'  {ids[m]} [label="{subset_str(m)}"];\n' for m in canonical_masks(n)))
+    _write_edges(fh, n, ids, "  {u} -- {v};\n")
+    fh.write("}\n")
 
 
-def render_graph_json(n: int, *, caps: Caps = DEFAULT_CAPS) -> str:
-    edges = edges_by_mask(n, caps=caps)  # validates n up front
-    doc = {
-        "n": n,
-        "vertices": [
-            {"label": _node_id(n, m), "mask": m} for m in canonical_masks(n)
-        ],
-        "edges": [[u, v] for u, v in edges],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+def render_csv(n: int, fh: TextIO, *, caps: Caps = DEFAULT_CAPS) -> None:
+    """Write the edges of G(n) to fh as 'u,v' mask rows, u < v, sorted."""
+    check_ground_size(n, caps.materialize_max_n)
+    _write_edges(fh, n, [str(m) for m in range(1 << n)], "{u},{v}\n")
+
+
+def render_graph_json(n: int, fh: TextIO, *, caps: Caps = DEFAULT_CAPS) -> None:
+    """Write G(n) to fh as the json.dumps(doc, indent=2) text of its vertices and edges."""
+    check_ground_size(n, caps.materialize_max_n)
+    vertices = ",\n".join(
+        f'    {{\n      "label": "{_node_id(n, m)}",\n      "mask": {m}\n    }}'
+        for m in canonical_masks(n)
+    )
+    fh.write(f'{{\n  "n": {n},\n  "vertices": [\n{vertices}\n  ],\n  "edges": ')
+    if n == 1:
+        fh.write("[]")  # the only vertex has no edge
+    else:
+        fh.write("[\n")
+        names = [str(m) for m in range(1 << n)]
+        _write_edges(fh, n, names, "    [\n      {u},\n      {v}\n    ]", ",\n")
+        fh.write("\n  ]")
+    fh.write("\n}\n")
 
 
 def _witness(masks) -> dict:
@@ -181,11 +210,19 @@ def sequence_rows(metric: str, max_n: int, *, caps: Caps = DEFAULT_CAPS) -> list
     return rows
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """stdout for None or '-', else the file at out, opened for writing."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            yield fh
+
+
+def _emit(text: str, out: str | None) -> None:
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _load_config(path: str | None) -> dict:
@@ -267,17 +304,17 @@ def main(argv=None) -> int:
         config = _load_config(args.config)
         caps = _caps_from_config(config)
         out = _setting(args, config, "out", None)
+        if out is not None and not isinstance(out, str):
+            raise ValueError(f"out must be a path string, got {out!r}")
         if args.command == "build":
             fmt = _setting(args, config, "format", "dot")
-            if fmt == "dot":
-                text = render_dot(args.n, caps=caps)
-            elif fmt == "csv":
-                text = render_csv(args.n, caps=caps)
-            elif fmt == "json":
-                text = render_graph_json(args.n, caps=caps)
-            else:
+            exporters = {"dot": render_dot, "csv": render_csv, "json": render_graph_json}
+            if not isinstance(fmt, str) or fmt not in exporters:
                 raise ValueError(f"unknown build format {fmt!r}")
-            _emit(text, out)
+            # refuse before --out is opened, so a refused build leaves no file
+            check_ground_size(args.n, caps.materialize_max_n)
+            with _output(out) as fh:
+                exporters[fmt](args.n, fh, caps=caps)
         elif args.command == "invariants":
             if args.table:
                 _emit(render_value_table(args.n, args.table, caps=caps), out)

@@ -187,19 +187,41 @@ def materialize(n: int, *, caps: Caps = DEFAULT_CAPS) -> MaterializedGraph:
     return MaterializedGraph(n, tuple(rows))
 
 
+def _meeting_runs(n: int, u: int) -> Iterator[tuple[int, int]]:
+    """Half-open runs [lo, hi), ascending, of the masks v with u < v < 2^n that meet u.
+
+    The masks disjoint from u are the submasks of full & ~u, about 3^n of
+    them over all u against the 4^n/2 pairs. Those above u are the ones with
+    a bit above u's top bit (every v in (u, 2^b), b = u.bit_length(), shares
+    that bit with u); the gaps between them, walked in ascending submask
+    order, are the runs.
+    """
+    free = full_mask(n) & ~u
+    top = 1 << n
+    lo = u + 1
+    d = (1 << u.bit_length()) & free  # 0 when u's top bit is n - 1
+    while d:  # the ascending walk wraps to 0 after the last submask
+        if d > lo:
+            yield lo, d
+        lo = d + 1
+        d = (d - free) & free
+    if lo < top:
+        yield lo, top
+
+
 def edges_by_mask(n: int, *, caps: Caps = DEFAULT_CAPS) -> Iterator[tuple[int, int]]:
     """Edges as mask pairs (u, v), u < v numerically, in sorted order.
 
-    Streams without materializing the graph; used by the exporters. The cap
-    check happens up front, not on first pull.
+    Streams without materializing the graph: for each u, the masks above u
+    that meet it come from `_meeting_runs`, which skips the disjoint ones by
+    submask enumeration. The cap check happens up front, not on first pull.
     """
     check_ground_size(n, caps.materialize_max_n)
 
     def stream() -> Iterator[tuple[int, int]]:
-        top = 1 << n
-        for u in range(1, top):
-            for v in range(u + 1, top):
-                if u & v:
+        for u in range(1, 1 << n):
+            for lo, hi in _meeting_runs(n, u):
+                for v in range(lo, hi):
                     yield u, v
 
     return stream()

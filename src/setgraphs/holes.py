@@ -161,8 +161,14 @@ def primitive_degrees(g: MaterializedGraph) -> tuple[int, ...]:
     C(V-1-d(v), 2) - t_c(v) edges with both ends there, where t_c(v), the
     complement triangles at v, is half the sum of |comp[v] & comp[w]|. Every
     sum runs over complement edges only.
+
+    Rows that hold their own bit, or that give a negative count, raise
+    ValueError, as do rows whose doubled sums come out odd. These checks
+    cost O(V); rows asymmetric in some other way are not detected.
     """
     v = g.num_vertices
+    if any(row >> u & 1 for u, row in enumerate(g.rows)):
+        raise ValueError("rows are not irreflexive: a row holds its own bit")
     degrees = [row.bit_count() for row in g.rows]
     if sum(degrees) % 2:
         raise ValueError("rows are not symmetric: odd sum of row popcounts")
@@ -177,6 +183,8 @@ def primitive_degrees(g: MaterializedGraph) -> tuple[int, ...]:
         if shared % 2:
             raise ValueError("rows are not symmetric: odd doubled complement incidence")
         out.append(edges - d - far + comb(v - 1 - d, 2) - shared // 2)
+    if min(out, default=0) < 0:
+        raise ValueError("rows are not symmetric: negative triangle incidence")
     return tuple(out)
 
 

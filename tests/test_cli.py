@@ -1,5 +1,6 @@
 """The command-line surface: exports, reports, sequences, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -86,6 +87,77 @@ def test_csv_edge_count_matches_closed_form(tmp_path):
 def test_edge_stream_count_matches_closed_form_to_12():
     for n in (11, 12):
         assert sum(1 for _ in edges_by_mask(n)) == edge_count_closed(n)
+
+
+# sha256 of `build N --format F` on stdout, taken from the exporters that
+# built each document as one string; the streamed exporters must match.
+BUILD_DIGESTS = {
+    ("csv", 1): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("csv", 2): "7a0c55aafd4467d081e4d707caa73abcc681ef0d6a9f56152aa3c5582b2fdccb",
+    ("csv", 3): "695930d4dc08fe1154fe27733ec444b5a4f9f1d8791a772978cc3ae3a3ea23e2",
+    ("csv", 4): "bcfd1385c1c3001723fb2161873dacc83d1d177a7e7d81566423a89f9f555400",
+    ("csv", 5): "00d238325346b5b5e1487a3a9d4165bac11e5e1eb13d0c117014eaf1ead683f2",
+    ("csv", 6): "46972f62f80bd92be05cf2003561f63696854c5cdb0e64d59f6482a9d21a416e",
+    ("csv", 7): "acfe036e047f01620eab112d1254ef3508bc3bfda1d8361d8018e1a0e80a8eb8",
+    ("csv", 8): "5dff82b06f5acd5c14c0a4cac27dae91da2ad7031c1d24e0d71b032436cf1dce",
+    ("csv", 9): "29e1770dfcf29e5fade0e742cbd46357f4e32ffccf78df0da448b96c5b87df4b",
+    ("dot", 1): "77c59f6a15c94b397ab606b23d85694baa0e363016276e073a20428f6f4a269c",
+    ("dot", 2): "f252f562ae14a497431d69968eabdf5da8338bbcece36f1ac4ef788daad03664",
+    ("dot", 3): "a8d96d4bef0112d5578ebe61bd3b5381fd3077457f7d34d726c79ffb8912561c",
+    ("dot", 4): "25023ca0184a03496ee66882a51da7c2ee43557c2dadae9626dbe62c6a50bdd2",
+    ("dot", 5): "2ebaf798d28e86e445511152e343ce11a078ccda47160b5bf890bc50f97be3e2",
+    ("dot", 6): "952b8e40151e8e79a8c7768bebd98c8c7024db4a9b62caaf0b093dc3a1ac3f31",
+    ("dot", 7): "17ad84106d4affa47b2907b355b33415692cba2432041ae00164bc68eb0eab04",
+    ("dot", 8): "db7415c9bf12a027a137da3b19bd7ee77f3c4de046eeca21b09d3f366330df7f",
+    ("dot", 9): "2ba90eac852b253621d75dde540d609e70147b2ab8c4cf0f8658d8b2df184f65",
+    ("json", 1): "0ddceecd80b5659ac2044d11eea56656df6593347d380127cb28e75d2ab035b6",
+    ("json", 2): "9b140c51e3c58d1abb6c0aec992f7eb5cdddba6d2a23102c74e24999848c836d",
+    ("json", 3): "356137cbdfd8a2b48f897adffd3323fbab84cff3d1b273bd319b2e7105cf6b26",
+    ("json", 4): "26bc870ed0f458248624828286b88f213883f962928c6927bbe07caddf55051f",
+    ("json", 5): "296778d9e2b6312543bb677e43a91f7914f5dd44b3377b6a143d264ccd3bc6b9",
+    ("json", 6): "73ee06cc9c3d7831a5a54de686ae376848fd4441a652300f64cc85c55f39aece",
+    ("json", 7): "a004ed5aa45e0c5a50aa292ce6d05d42f1d133a5bb77f4ae6fdaec449c244d15",
+    ("json", 8): "292c7fff6ee0f3b348e1c4d151fea64728391d7c19767c3170e9ad787d3d0718",
+    ("json", 9): "d288750d54f3c188f0e8c2fda501a10f8c992701da6d6ef1cce53ecfde32df9f",
+}
+
+
+@pytest.mark.parametrize("fmt, n", list(BUILD_DIGESTS))
+def test_build_output_is_pinned(fmt, n, capsys):
+    assert run_cli("build", str(n), "--format", fmt) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BUILD_DIGESTS[fmt, n]
+
+
+def test_edge_stream_matches_pair_scan():
+    # the plain double loop over mask pairs, independent of the run splitting
+    for n in range(1, 9):
+        top = 1 << n
+        pairs = [(u, v) for u in range(1, top) for v in range(u + 1, top) if u & v]
+        assert list(edges_by_mask(n)) == pairs
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(("build", "15", "--format", "csv"), 3), (("build", "0", "--format", "dot"), 2)],
+    ids=["over-cap", "bad-n"],
+)
+def test_refused_build_leaves_out_alone(argv, code, tmp_path):
+    missing = tmp_path / "missing.out"
+    assert run_cli(*argv, "--out", str(missing)) == code
+    assert not missing.exists()
+    kept = tmp_path / "kept.out"
+    kept.write_text("earlier content\n")
+    assert run_cli(*argv, "--out", str(kept)) == code
+    assert kept.read_text() == "earlier content\n"
+
+
+@pytest.mark.parametrize("key, bad", [("format", ["csv"]), ("out", 5)])
+def test_build_config_type_is_a_usage_error(key, bad, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: bad}))
+    assert run_cli("--config", str(config), "build", "2") == 2
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_value_table_export(capsys):

@@ -1,5 +1,8 @@
 """Masks, labels, adjacency, materialization, and the extension map."""
 
+import dataclasses
+from math import comb
+
 import pytest
 
 from setgraphs import (
@@ -80,6 +83,25 @@ def test_label_roundtrip_exhaustive():
             assert canonical_index(n, m) == idx
 
 
+def test_label_roundtrip_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 14))
+        m = data.draw(st.integers(1, (1 << n) - 1))
+        s, i = label_of_mask(n, m)
+        assert s == m.bit_count() and 1 <= i <= comb(n, s)
+        assert mask_of_label(n, VertexLabel(s, i)) == m
+        s = data.draw(st.integers(1, n))
+        i = data.draw(st.integers(1, comb(n, s)))
+        assert label_of_mask(n, mask_of_label(n, VertexLabel(s, i))) == (s, i)
+
+    check()
+
+
 def test_label_errors():
     with pytest.raises(ValueError):
         mask_of_label(3, VertexLabel(2, 4))  # only C(3,2)=3 pairs
@@ -138,6 +160,29 @@ def test_cap_overrides_take_only_non_negative_ints():
             DEFAULT_CAPS.with_overrides(materialize_max_n=bad)
     with pytest.raises(ValueError, match="unknown"):
         DEFAULT_CAPS.with_overrides(no_such_cap=1)
+
+
+def test_cap_overrides_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    names = [f.name for f in dataclasses.fields(DEFAULT_CAPS)]
+    values = st.one_of(
+        st.integers(), st.booleans(), st.floats(), st.text(max_size=3), st.none(),
+        st.lists(st.integers(), max_size=2),
+    )
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.sampled_from(names), values)
+    def check(name, value):
+        accepted = type(value) is int and value >= 0
+        try:
+            caps = DEFAULT_CAPS.with_overrides(**{name: value})
+        except ValueError:
+            assert not accepted
+        else:
+            assert accepted and getattr(caps, name) == value
+
+    check()
 
 
 def test_extension_map_counts_and_examples():

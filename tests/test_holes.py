@@ -127,6 +127,18 @@ for check in checks:
     assert proc.returncode == 0, proc.stderr + proc.stdout
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [(0b010, 0b000, 0b010), (0b001, 0b010, 0b000)],
+    ids=["asymmetric-even-parities", "self-loops"],
+)
+def test_primitive_degrees_rejects_rows_with_even_parities(rows):
+    # every doubled sum is even here, so only the self-bit check and the
+    # check for a negative count can catch these rows
+    with pytest.raises(ValueError):
+        primitive_degrees(MaterializedGraph(1, rows))
+
+
 def test_claimed_recursion_pinned():
     for n, h in CLAIMED.items():
         assert triangle_count_claimed(n) == h

@@ -64,6 +64,35 @@ def test_max_clique_counts_pinned():
         assert len(found.cliques) == count
 
 
+def _networkx_graph(nx, n):
+    top = 1 << n
+    graph = nx.Graph()
+    graph.add_nodes_from(range(1, top))
+    graph.add_edges_from((u, w) for u in range(1, top) for w in range(u + 1, top) if u & w)
+    return graph
+
+
+def test_max_cliques_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for n in range(1, 7):
+        maximal = [frozenset(c) for c in nx.find_cliques(_networkx_graph(nx, n))]
+        size = max(map(len, maximal))
+        found = max_cliques(materialize(n))
+        assert found.size == size
+        assert {frozenset(c) for c in found.cliques} == {c for c in maximal if len(c) == size}
+        if n in MAX_CLIQUE_COUNTS:
+            assert len(found.cliques) == MAX_CLIQUE_COUNTS[n]
+
+
+def test_chromatic_number_within_networkx_greedy_bound():
+    nx = pytest.importorskip("networkx")
+    for n in range(1, 8):
+        graph = _networkx_graph(nx, n)
+        colors = nx.greedy_color(graph)
+        assert all(colors[u] != colors[w] for u, w in graph.edges)
+        assert chromatic_number(n) <= len(set(colors.values()))
+
+
 def test_max_cliques_cap():
     with pytest.raises(CapExceeded):
         max_cliques(materialize(7))
