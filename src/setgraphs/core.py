@@ -132,6 +132,29 @@ def _bit_positions(m: int) -> Iterator[int]:
         m ^= low
 
 
+def check_rows(rows) -> None:
+    """Raise ValueError on adjacency rows that cannot be a simple undirected graph.
+
+    Two necessary conditions, each O(V) big-int operations: no row holds its
+    own bit, and the rows added as integers (bit v of row u weighs 2^v) equal
+    the degrees weighted by 2^u, as they do when each column sum equals its
+    row sum. Asymmetric rows whose in-degrees all equal their out-degrees
+    pass; only an O(|E|) scan would catch those.
+    """
+    if any(row >> u & 1 for u, row in enumerate(rows)):
+        raise ValueError("rows are not irreflexive: a row holds its own bit")
+    if sum(rows) != sum(row.bit_count() << u for u, row in enumerate(rows)):
+        raise ValueError("rows are not symmetric: column sums differ from row sums")
+
+
+def _submasks(m: int) -> Iterator[int]:
+    """Non-empty submasks of m, descending from m itself."""
+    sub = m
+    while sub:
+        yield sub
+        sub = (sub - 1) & m
+
+
 @dataclass(frozen=True)
 class MaterializedGraph:
     """Explicit adjacency rows over the canonical vertex order.
@@ -194,7 +217,9 @@ def _meeting_runs(n: int, u: int) -> Iterator[tuple[int, int]]:
     them over all u against the 4^n/2 pairs. Those above u are the ones with
     a bit above u's top bit (every v in (u, 2^b), b = u.bit_length(), shares
     that bit with u); the gaps between them, walked in ascending submask
-    order, are the runs.
+    order, are the runs. The walk is its own, not `_submasks`: it starts at
+    the first submask above u, where a walk over every submask of full & ~u
+    would add about 3^n/2 steps over all u.
     """
     free = full_mask(n) & ~u
     top = 1 << n

@@ -29,7 +29,13 @@ from dataclasses import dataclass
 from math import comb
 
 from .config import DEFAULT_CAPS, CapExceeded, Caps
-from .core import MaterializedGraph, _bit_positions, canonical_index, check_ground_size
+from .core import (
+    MaterializedGraph,
+    _bit_positions,
+    canonical_index,
+    check_ground_size,
+    check_rows,
+)
 from .invariants import degree_closed, edge_count_closed
 
 
@@ -70,16 +76,23 @@ def triangle_count_exact(
     counts twice each vertex triple holding one or two edges. For G(n) the
     complement is the sparse disjointness graph. ``threads`` is accepted for
     compatibility and ignored: the count runs on one thread.
+
+    Rows that fail `check_rows`, whose degree term comes out odd, or that
+    give a negative count raise ValueError.
     """
     if g.n > caps.triangle_exact_max_n:
         raise CapExceeded(
             f"exact triangle count capped at n <= {caps.triangle_exact_max_n}, got n={g.n}"
         )
+    check_rows(g.rows)
     v = g.num_vertices
     mixed_twice = sum(d * (v - 1 - d) for d in map(int.bit_count, g.rows))
     if mixed_twice % 2:
         raise ValueError("rows are not symmetric: the Goodman degree term is odd")
-    return comb(v, 3) - mixed_twice // 2 - _complement_triangles(g)
+    count = comb(v, 3) - mixed_twice // 2 - _complement_triangles(g)
+    if count < 0:
+        raise ValueError("rows are not symmetric: negative triangle count")
+    return count
 
 
 def triangle_count_claimed(n: int, *, caps: Caps = DEFAULT_CAPS) -> int:
@@ -162,13 +175,12 @@ def primitive_degrees(g: MaterializedGraph) -> tuple[int, ...]:
     complement triangles at v, is half the sum of |comp[v] & comp[w]|. Every
     sum runs over complement edges only.
 
-    Rows that hold their own bit, or that give a negative count, raise
-    ValueError, as do rows whose doubled sums come out odd. These checks
-    cost O(V); rows asymmetric in some other way are not detected.
+    Rows that fail `check_rows`, that give a negative count, or whose
+    doubled sums come out odd raise ValueError. These checks cost O(V)
+    big-int operations; rows asymmetric in some other way are not detected.
     """
     v = g.num_vertices
-    if any(row >> u & 1 for u, row in enumerate(g.rows)):
-        raise ValueError("rows are not irreflexive: a row holds its own bit")
+    check_rows(g.rows)
     degrees = [row.bit_count() for row in g.rows]
     if sum(degrees) % 2:
         raise ValueError("rows are not symmetric: odd sum of row popcounts")

@@ -14,10 +14,13 @@ from math import comb
 from .config import DEFAULT_CAPS, Caps
 from .core import (
     MaterializedGraph,
+    _submasks,
     canonical_index,
     canonical_masks,
     check_ground_size,
     check_mask,
+    check_rows,
+    full_mask,
 )
 
 
@@ -41,12 +44,9 @@ def degree_inclusion_exclusion(n: int, m: int) -> int:
     """
     check_mask(n, m)
     total = 0
-    # iterate all non-empty submasks of m
-    sub = m
-    while sub:
+    for sub in _submasks(m):
         j = sub.bit_count()
         total += (-1) ** (j - 1) * (1 << (n - j))
-        sub = (sub - 1) & m
     return total - 1
 
 
@@ -120,7 +120,8 @@ def edge_count_recursive(n: int, *, caps: Caps = DEFAULT_CAPS) -> int:
 
 
 def edge_count_brute(g: MaterializedGraph) -> int:
-    """Half the sum of row popcounts."""
+    """Half the sum of row popcounts; rows that fail `check_rows` raise ValueError."""
+    check_rows(g.rows)
     total = sum(row.bit_count() for row in g.rows)
     if total % 2:
         raise ValueError("rows are not symmetric: odd sum of row popcounts")
@@ -128,9 +129,16 @@ def edge_count_brute(g: MaterializedGraph) -> int:
 
 
 def tightness(n: int, m: int) -> int:
-    """Number of other non-empty subsets meeting m (definition-level sum)."""
+    """Number of other non-empty subsets meeting m, counted over an explicit set.
+
+    The 2^n - 1 non-empty subsets, less m itself, less those disjoint from m:
+    the non-empty submasks of ~m, walked one by one (2^(n-|m|) steps, about
+    3^n over all m). It uses no closed form, so the recursion and the degree
+    formula stay independent routes to the same values.
+    """
     check_mask(n, m)
-    return sum(1 for other in range(1, 1 << n) if other & m) - 1
+    disjoint = sum(1 for _ in _submasks(full_mask(n) & ~m))
+    return (1 << n) - 2 - disjoint
 
 
 @dataclass(frozen=True)

@@ -240,28 +240,31 @@ def dominating_exact(g: SmallGraph) -> int:
 
 
 def vertex_cover_exact(g: SmallGraph) -> int:
-    """Minimum vertex cover size; branches on the endpoints of an uncovered edge."""
-    _check_cap(g, SEARCH_MAX_VERTICES, "vertex_cover_exact")
-    edges = list(g.edges())
-    best = g.num_vertices
+    """Minimum vertex cover size; branches on the endpoints of an uncovered edge.
 
-    def first_uncovered(chosen: int):
-        for u, v in edges:
-            if not chosen >> u & 1 and not chosen >> v & 1:
-                return u, v
-        return None
+    The edge is the first uncovered one in (u, v) order, u < v, read off the
+    rows: the lowest vertex u outside the cover with a neighbour above it
+    also outside, and the lowest such neighbour v.
+    """
+    _check_cap(g, SEARCH_MAX_VERTICES, "vertex_cover_exact")
+    rows = g.rows
+    full = (1 << g.num_vertices) - 1
+    best = g.num_vertices
 
     def rec(chosen: int, size: int) -> None:
         nonlocal best
         if size >= best:
             return
-        edge = first_uncovered(chosen)
-        if edge is None:
+        free = full & ~chosen
+        for u in _bit_positions(free):
+            above = rows[u] & free >> (u + 1) << (u + 1)
+            if above:
+                break
+        else:
             best = size
             return
-        u, v = edge
         rec(chosen | (1 << u), size + 1)
-        rec(chosen | (1 << v), size + 1)
+        rec(chosen | (above & -above), size + 1)
 
     rec(0, 0)
     return best

@@ -24,6 +24,7 @@ from typing import Callable
 from . import holes, invariants, parameters
 from .config import CANONICAL_ORDER_TAG, DEFAULT_CAPS, Caps
 from .core import (
+    _bit_positions,
     canonical_masks,
     extension_map,
     full_mask,
@@ -255,12 +256,17 @@ def _c13(n: int, caps: Caps, top: int | None) -> dict | None:
     target = parameters.clique_number(n, caps=caps)
     coloring = parameters.chromatic_coloring(n, caps=caps)
     witness = parameters.clique_witness(n, caps=caps)
-    clique_ok = len(witness) == target and all(
-        u & v for i, u in enumerate(witness) for v in witness[i + 1 :])
+    g = materialize(n, caps=caps)
+    # the witness as a bitmap of canonical indices: a clique exactly when
+    # each member's closed row covers every member
+    index = {m: i for i, m in enumerate(g.masks)}
+    members = sum(1 << index[m] for m in set(witness) if m in index)
+    clique_ok = len(witness) == target == members.bit_count() and all(
+        (g.rows[i] | 1 << i) & members == members for i in _bit_positions(members))
     if coloring.color_count != target or not coloring.is_proper() or not clique_ok:
         return {"n": n, "expected": target, "actual": coloring.color_count}
     if n <= top:
-        chi = chromatic_exact(SmallGraph.from_materialized(materialize(n, caps=caps)))
+        chi = chromatic_exact(SmallGraph.from_materialized(g))
         if chi != target:
             return {"n": n, "expected": target, "actual": chi}
 

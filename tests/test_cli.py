@@ -1,10 +1,13 @@
 """The command-line surface: exports, reports, sequences, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -388,6 +391,58 @@ def test_config_setting_must_be_an_int(tmp_path, capsys, key, argv, bad):
     assert err.startswith(f"setgraph: {key} must be an integer")
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_any_config_value_runs_or_exits_with_one_line():
+    # random JSON for every config key: the CLI runs, or exits 2 (usage) or
+    # 3 (resource guard) with a one-line message; an exception escaping main
+    # would be a traceback
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+               | st.text(max_size=6))
+    values = st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                     max_size=3),
+        max_leaves=5,
+    )
+    # cap values stay small where they are ints, so that a raised cap paired
+    # with a huge max_n cannot turn into a long run
+    cap_values = (st.none() | st.booleans() | st.integers(-3, 24) | st.floats(allow_nan=False)
+                  | st.text(max_size=4) | st.lists(st.integers(0, 5), max_size=2))
+    cap_names = tuple(DEFAULT_CAPS.as_dict())
+    commands = [("sequence", "vertices"), ("verify", "--claims", "C1"), ("mela",),
+                ("invariants", "3"), ("build", "2")]
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        command=st.sampled_from(commands),
+        config=st.fixed_dictionaries({}, optional={
+            "max_n": values,
+            "max_index": values,
+            "threads": values,
+            "format": values | st.sampled_from(["json", "md", "csv", "dot"]),
+            "out": values.filter(lambda v: not isinstance(v, str)) | st.just("FILE"),
+            "caps": st.dictionaries(st.sampled_from(cap_names), cap_values, max_size=3) | values,
+        }),
+    )
+    def check(command, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            if config.get("out") == "FILE":
+                config["out"] = os.path.join(tmp, "out")
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run_cli("--config", path, *command)
+            if code:
+                assert code in (2, 3), (code, err.getvalue())
+                assert err.getvalue().startswith("setgraph: ")
+                assert err.getvalue().count("\n") == 1
+
+    check()
 
 
 def test_cli_import_leaves_numpy_out():

@@ -20,6 +20,7 @@ from setgraphs import (
     vertex_count,
 )
 from setgraphs.config import DEFAULT_CAPS
+from setgraphs.core import _submasks
 
 
 def test_mask_helpers():
@@ -218,3 +219,9 @@ def test_extension_parallel_linkage_and_replica_clique():
 def test_vertex_recursion():
     for n in range(1, 20):
         assert vertex_count(n + 1) == 2 * vertex_count(n) + 1
+
+
+def test_submasks_walks_each_nonempty_submask_once_descending():
+    for m in range(1 << 9):
+        walked = list(_submasks(m))
+        assert walked == sorted((s for s in range(1, m + 1) if s & m == s), reverse=True)

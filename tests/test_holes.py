@@ -22,7 +22,7 @@ from setgraphs import (
     triangle_count_exact,
 )
 from setgraphs.config import DEFAULT_CAPS
-from setgraphs.core import MaterializedGraph
+from setgraphs.core import MaterializedGraph, check_rows
 from setgraphs.holes import _complement_triangles
 from setgraphs.oracle import SmallGraph
 
@@ -107,21 +107,30 @@ def test_exact_kernel_on_arbitrary_graphs():
 
 
 def test_symmetry_checks_run_under_optimize_flag():
-    # rows 0 -> {1, 2}, 1 -> {2}, 2 -> {} are not symmetric, which makes the
-    # doubled degree, edge and incidence sums odd; under -O an assert would
-    # be skipped, so each check must raise by itself
+    # none of these row sets is a simple undirected graph; under -O an assert
+    # would be skipped, so each check must raise by itself:
+    # 0 -> {1, 2}, 1 -> {2}, 2 -> {}: odd doubled sums, column sums differ;
+    # 0 -> {1}, 2 -> {1}: even parities, column sums differ;
+    # 0 -> {0}, 1 -> {1}: self bits;
+    # 0 -> {2, 3}, 1 -> {0}, 2 -> {0}, 3 -> {1}: every in-degree equals its
+    # out-degree, so only a negative count or an odd sum gives them away
     code = """
 from setgraphs import MaterializedGraph, edge_count_brute, primitive_degree
 from setgraphs import primitive_degrees, triangle_count_exact
-g = MaterializedGraph(2, (0b110, 0b100, 0b000))
-checks = (triangle_count_exact, edge_count_brute, primitive_degrees,
-          lambda g: primitive_degree(g, 1))
-for check in checks:
-    try:
-        check(g)
-    except ValueError:
-        continue
-    raise SystemExit(f"no error from {check}")
+cases = [
+    ((0b110, 0b100, 0b000), (triangle_count_exact, edge_count_brute,
+                             primitive_degrees, lambda g: primitive_degree(g, 1))),
+    ((0b010, 0b000, 0b010), (triangle_count_exact, edge_count_brute, primitive_degrees)),
+    ((0b001, 0b010, 0b000), (triangle_count_exact, edge_count_brute, primitive_degrees)),
+    ((0b1100, 0b0001, 0b0001, 0b0010), (triangle_count_exact, primitive_degrees)),
+]
+for rows, checks in cases:
+    for check in checks:
+        try:
+            check(MaterializedGraph(2, rows))
+        except ValueError:
+            continue
+        raise SystemExit(f"no error from {check} on {rows}")
 """
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr + proc.stdout
@@ -137,6 +146,14 @@ def test_primitive_degrees_rejects_rows_with_even_parities(rows):
     # check for a negative count can catch these rows
     with pytest.raises(ValueError):
         primitive_degrees(MaterializedGraph(1, rows))
+
+
+def test_triangle_count_rejects_rows_by_its_negative_count():
+    # every in-degree equals its out-degree, so check_rows passes these rows
+    g = MaterializedGraph(1, (0b1100, 0b0001, 0b0001, 0b0010))
+    check_rows(g.rows)
+    with pytest.raises(ValueError, match="negative triangle count"):
+        triangle_count_exact(g)
 
 
 def test_claimed_recursion_pinned():

@@ -111,6 +111,23 @@ def test_tightness_equals_degree():
             assert tightness(n, m) == degree_brute(g, m)
 
 
+def test_tightness_matches_definition_level_scan():
+    # the scan over every other subset that the disjoint-submask count replaced
+    for n in range(1, 10):
+        for m in range(1, 1 << n):
+            assert tightness(n, m) == sum(1 for o in range(1, 1 << n) if o & m) - 1
+
+
+def test_tightness_matches_networkx_degree():
+    nx = pytest.importorskip("networkx")
+    for n in range(1, 8):
+        masks = range(1, 1 << n)
+        graph = nx.Graph()
+        graph.add_nodes_from(masks)
+        graph.add_edges_from((u, w) for u in masks for w in masks if u < w and u & w)
+        assert [tightness(n, m) for m in masks] == [graph.degree(m) for m in masks]
+
+
 def test_tightness_recursion_examples():
     old = tightness_vector(2).values
     new = tightness_recursion_step(2, old)

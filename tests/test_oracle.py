@@ -1,5 +1,7 @@
 """The exact searches on textbook graphs with known answers."""
 
+from itertools import combinations
+
 import pytest
 
 from setgraphs import CapExceeded
@@ -123,6 +125,28 @@ def test_gallai_identity():
     ]
     for g in graphs:
         assert mis_exact(g) + vertex_cover_exact(g) == g.num_vertices
+
+
+def test_vertex_cover_matches_networkx_clique_of_complement():
+    # a minimum vertex cover leaves a maximum independent set, which is a
+    # maximum clique of the complement
+    hypothesis = pytest.importorskip("hypothesis")
+    nx = pytest.importorskip("networkx")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        v = data.draw(st.integers(0, 14))
+        pairs = list(combinations(range(v), 2))
+        edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        graph = nx.Graph()
+        graph.add_nodes_from(range(v))
+        graph.add_edges_from(edges)
+        clique, _ = nx.max_weight_clique(nx.complement(graph), weight=None)
+        assert vertex_cover_exact(SmallGraph.from_edges(v, edges)) == v - len(clique)
+
+    check()
 
 
 def test_caps_raise():

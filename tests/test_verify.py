@@ -7,6 +7,7 @@ import pytest
 
 from setgraphs import (
     ALL_CLAIM_IDS,
+    DEFAULT_CAPS,
     REGISTRY,
     materialize,
     max_cliques,
@@ -15,6 +16,7 @@ from setgraphs import (
     triangle_count_claimed,
     triangle_count_exact,
 )
+from setgraphs import parameters, verify
 from setgraphs.verdicts import CONFIRMED, REFUTED, SKIPPED, ClaimVerdict
 
 FIXTURE = Path(__file__).parent / "fixtures" / "claim_verdicts.json"
@@ -160,3 +162,21 @@ def test_regression_fixture():
             ce = got[claim_id]["counterexample"]
             for key in ("n", "expected", "actual"):
                 assert ce[key] == expected["counterexample"][key], claim_id
+
+
+@pytest.mark.parametrize("n", [3, 6, 12])
+def test_c13_rejects_a_witness_with_a_disjoint_pair(monkeypatch, n):
+    # {a2} in place of {a1}: same size, no repeat, but {a2} misses {a1, a3}
+    witness = parameters.clique_witness(n)
+    assert verify._c13(n, DEFAULT_CAPS, 4) is None
+    bad = (0b010,) + witness[1:]
+    monkeypatch.setattr(parameters, "clique_witness", lambda n, caps: bad)
+    target = parameters.clique_number(n)
+    assert verify._c13(n, DEFAULT_CAPS, 4) == {"n": n, "expected": target, "actual": target}
+
+
+@pytest.mark.parametrize("bad", [lambda w: w[:-1] + w[:1], lambda w: w[:-1] + (1 << 20,)])
+def test_c13_rejects_a_witness_with_a_repeat_or_a_foreign_mask(monkeypatch, bad):
+    witness = bad(parameters.clique_witness(5))
+    monkeypatch.setattr(parameters, "clique_witness", lambda n, caps: witness)
+    assert verify._c13(5, DEFAULT_CAPS, 4) == {"n": 5, "expected": 16, "actual": 16}
