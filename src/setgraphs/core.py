@@ -135,16 +135,22 @@ def _bit_positions(m: int) -> Iterator[int]:
 def check_rows(rows) -> None:
     """Raise ValueError on adjacency rows that cannot be a simple undirected graph.
 
-    Two necessary conditions, each O(V) big-int operations: no row holds its
-    own bit, and the rows added as integers (bit v of row u weighs 2^v) equal
+    Three necessary conditions, each O(V) big-int operations: no row holds
+    its own bit; the rows added as integers (bit v of row u weighs 2^v) equal
     the degrees weighted by 2^u, as they do when each column sum equals its
-    row sum. Asymmetric rows whose in-degrees all equal their out-degrees
-    pass; only an O(|E|) scan would catch those.
+    row sum; and exactly half of all set bits lie above the diagonal, as
+    they do when each edge is stored once in each direction. The last one
+    catches directed cycles such as 0 -> 1 -> 2 -> 3 -> 0, whose in-degrees
+    all equal their out-degrees. Asymmetric rows that meet all three pass;
+    only an O(|E|) scan would catch every such case.
     """
     if any(row >> u & 1 for u, row in enumerate(rows)):
         raise ValueError("rows are not irreflexive: a row holds its own bit")
     if sum(rows) != sum(row.bit_count() << u for u, row in enumerate(rows)):
         raise ValueError("rows are not symmetric: column sums differ from row sums")
+    upper = sum((row >> u).bit_count() for u, row in enumerate(rows))
+    if 2 * upper != sum(map(int.bit_count, rows)):
+        raise ValueError("rows are not symmetric: bits above the diagonal are not half")
 
 
 def _submasks(m: int) -> Iterator[int]:
@@ -180,6 +186,12 @@ class MaterializedGraph:
             suc = row >> (u + 1)
             for off in _bit_positions(suc):
                 yield u, u + 1 + off
+
+
+def _complement_rows(g: MaterializedGraph) -> list[int]:
+    """Complement rows: bit w of row u is set iff w != u and u, w are not adjacent."""
+    full = (1 << g.num_vertices) - 1
+    return [full & ~row & ~(1 << u) for u, row in enumerate(g.rows)]
 
 
 def materialize(n: int, *, caps: Caps = DEFAULT_CAPS) -> MaterializedGraph:

@@ -14,11 +14,16 @@ Three routes to the triangle count are provided and deliberately kept apart:
 The complement of G(n) is the sparse disjointness graph, so the exact count
 does one AND and popcount per complement edge: about 0.8M of them at n = 13
 (8191 vertices, ~32.7M edges), against the ~33.5M vertex pairs of a sweep
-over all rows.
+over all rows. Each complement triangle is counted once, at its two highest
+vertices (Chiba and Nishizeki's orientation): the rows keep only the
+complement neighbours below each vertex, and in canonical order the lower
+end of a disjoint pair is almost always a small subset near the start, so
+the ANDs run over a few low bits instead of all V.
 
 Per-vertex incidence has two routes. primitive_degrees runs the per-vertex
 identity t(v) = |E| - d(v) - sum_{w in comp(v)} d(w) + C(V-1-d(v), 2) - t_c(v)
-on the same complement rows (t_c(v): complement triangles at v). The scalar
+on its own scan of the complement rows (t_c(v): complement triangles at v),
+reading each complement edge once and crediting both of its ends. The scalar
 primitive_degree intersects v's row with each neighbour's row; it shares no
 code with the identity, so it stays the reference for the tests and claim C7.
 """
@@ -32,6 +37,7 @@ from .config import DEFAULT_CAPS, CapExceeded, Caps
 from .core import (
     MaterializedGraph,
     _bit_positions,
+    _complement_rows,
     canonical_index,
     check_ground_size,
     check_rows,
@@ -46,20 +52,15 @@ def h_complete(m: int) -> int:
     return comb(m, 3)
 
 
-def _complement_rows(g: MaterializedGraph) -> list[int]:
-    """Complement rows: bit w of row u is set iff w != u and u, w are not adjacent."""
-    full = (1 << g.num_vertices) - 1
-    return [full & ~row & ~(1 << u) for u, row in enumerate(g.rows)]
-
-
 def _complement_triangles(g: MaterializedGraph) -> int:
     """Triangles of the complement of g, counted on explicit complement rows.
 
-    comp[u] keeps only the complement neighbours above u, so each complement
-    edge (u, w), u < w, adds the common complement neighbours above w and
-    every complement triangle is counted once, at its two lowest vertices.
+    comp[u] keeps only the complement neighbours below u, so each complement
+    edge (u, w), w < u, adds the common complement neighbours below w and
+    every complement triangle is counted once, at its two highest vertices.
+    comp[w] has at most w bits, so the AND is as short as the lower end.
     """
-    comp = [row >> (u + 1) << (u + 1) for u, row in enumerate(_complement_rows(g))]
+    comp = [row & ((1 << u) - 1) for u, row in enumerate(_complement_rows(g))]
     total = 0
     for cu in comp:
         for w in _bit_positions(cu):
@@ -173,7 +174,9 @@ def primitive_degrees(g: MaterializedGraph) -> tuple[int, ...]:
     neighbours w of v. Summing d(w) counts each of those once, and twice the
     C(V-1-d(v), 2) - t_c(v) edges with both ends there, where t_c(v), the
     complement triangles at v, is half the sum of |comp[v] & comp[w]|. Every
-    sum runs over complement edges only.
+    sum runs over complement edges only, and each complement edge (u, w),
+    w < u, is read once: its AND goes to both ends, and each end's degree
+    to the other.
 
     Rows that fail `check_rows`, that give a negative count, or whose
     doubled sums come out odd raise ValueError. These checks cost O(V)
@@ -186,15 +189,21 @@ def primitive_degrees(g: MaterializedGraph) -> tuple[int, ...]:
         raise ValueError("rows are not symmetric: odd sum of row popcounts")
     edges = sum(degrees) // 2
     comp = _complement_rows(g)
+    far = [0] * v
+    shared = [0] * v
+    for u, cu in enumerate(comp):
+        du = degrees[u]
+        for w in _bit_positions(cu & ((1 << u) - 1)):
+            c = (cu & comp[w]).bit_count()
+            shared[u] += c
+            shared[w] += c
+            far[u] += degrees[w]
+            far[w] += du
     out = []
-    for d, cv in zip(degrees, comp):
-        far = shared = 0
-        for w in _bit_positions(cv):
-            far += degrees[w]
-            shared += (cv & comp[w]).bit_count()
-        if shared % 2:
+    for d, f, s in zip(degrees, far, shared):
+        if s % 2:
             raise ValueError("rows are not symmetric: odd doubled complement incidence")
-        out.append(edges - d - far + comb(v - 1 - d, 2) - shared // 2)
+        out.append(edges - d - f + comb(v - 1 - d, 2) - s // 2)
     if min(out, default=0) < 0:
         raise ValueError("rows are not symmetric: negative triangle incidence")
     return tuple(out)

@@ -14,6 +14,7 @@ from .config import DEFAULT_CAPS, CapExceeded, Caps
 from .core import (
     MaterializedGraph,
     _bit_positions,
+    _complement_rows,
     adjacent,
     canonical_masks,
     check_ground_size,
@@ -168,11 +169,7 @@ def mcpherson_number(n: int, *, caps: Caps = DEFAULT_CAPS) -> int:
 def disjointness_graph(n: int, *, caps: Caps = DEFAULT_CAPS) -> SmallGraph:
     """Complement of G(n) on the same canonical vertices: edges join disjoint subsets."""
     g = materialize(n, caps=caps)
-    all_bits = (1 << g.num_vertices) - 1
-    rows = tuple(
-        all_bits & ~row & ~(1 << u) for u, row in enumerate(g.rows)
-    )
-    return SmallGraph(g.num_vertices, rows)
+    return SmallGraph(g.num_vertices, tuple(_complement_rows(g)))
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Triangle counts: exact kernel, claimed and corrected recursions, incidence."""
 
+import hashlib
 import subprocess
 import sys
 from itertools import combinations
@@ -106,6 +107,49 @@ def test_exact_kernel_on_arbitrary_graphs():
     check()
 
 
+def test_kernels_on_graphs_wider_than_one_digit():
+    # CPython stores ints in 30-bit digits; rows of 13-48 vertices cross
+    # that boundary, so the (1 << u) - 1 masks and the two-ended sums of
+    # primitive_degrees are checked against networkx on multi-digit rows
+    nx = pytest.importorskip("networkx")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        st.integers(13, 48), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1)
+    )
+    def check(v, density, seed):
+        graph = nx.gnp_random_graph(v, density, seed=seed)
+        rows = [0] * v
+        for a, b in graph.edges:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+        per_vertex = nx.triangles(graph)
+        g = MaterializedGraph(1, tuple(rows))
+        assert triangle_count_exact(g) == sum(per_vertex.values()) // 3
+        assert primitive_degrees(g) == tuple(per_vertex[u] for u in range(v))
+
+    check()
+
+
+# sha256 of ",".join(map(str, primitive_degrees(materialize(n)))), frozen from
+# the per-vertex scan that read each complement edge from both of its ends,
+# before the scan that reads each edge once replaced it
+PRIMITIVE_DEGREES_SHA256 = {
+    8: "ec14e9b420311128334b055850d846d3397095f1fb76204a032b48f1c14dd137",
+    9: "b75025856c3976724a2866ac006287527ca3213469a0dd98c0233757fa8c5fcc",
+    10: "739421f2a636dd24a5f77e42ed25a910b72882511b92c92862e5e77e8fe94e57",
+    11: "30153223540a58bb421d9b0a1a8a697144d744824da8ca00550367b1522009ff",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PRIMITIVE_DEGREES_SHA256))
+def test_primitive_degrees_pinned(n):
+    text = ",".join(map(str, primitive_degrees(materialize(n))))
+    assert hashlib.sha256(text.encode()).hexdigest() == PRIMITIVE_DEGREES_SHA256[n]
+
+
 def test_symmetry_checks_run_under_optimize_flag():
     # none of these row sets is a simple undirected graph; under -O an assert
     # would be skipped, so each check must raise by itself:
@@ -113,7 +157,8 @@ def test_symmetry_checks_run_under_optimize_flag():
     # 0 -> {1}, 2 -> {1}: even parities, column sums differ;
     # 0 -> {0}, 1 -> {1}: self bits;
     # 0 -> {2, 3}, 1 -> {0}, 2 -> {0}, 3 -> {1}: every in-degree equals its
-    # out-degree, so only a negative count or an odd sum gives them away
+    # out-degree, but three of the five bits lie below the diagonal;
+    # 0 -> 1 -> 2 -> 3 -> 0: a directed 4-cycle, with one bit of four below
     code = """
 from setgraphs import MaterializedGraph, edge_count_brute, primitive_degree
 from setgraphs import primitive_degrees, triangle_count_exact
@@ -123,6 +168,8 @@ cases = [
     ((0b010, 0b000, 0b010), (triangle_count_exact, edge_count_brute, primitive_degrees)),
     ((0b001, 0b010, 0b000), (triangle_count_exact, edge_count_brute, primitive_degrees)),
     ((0b1100, 0b0001, 0b0001, 0b0010), (triangle_count_exact, primitive_degrees)),
+    ((0b0010, 0b0100, 0b1000, 0b0001), (triangle_count_exact, edge_count_brute,
+                                        primitive_degrees)),
 ]
 for rows, checks in cases:
     for check in checks:
@@ -149,11 +196,24 @@ def test_primitive_degrees_rejects_rows_with_even_parities(rows):
 
 
 def test_triangle_count_rejects_rows_by_its_negative_count():
-    # every in-degree equals its out-degree, so check_rows passes these rows
+    # every in-degree equals its out-degree, but the bits above the diagonal
+    # are not half of all bits, so check_rows rejects these rows by itself
     g = MaterializedGraph(1, (0b1100, 0b0001, 0b0001, 0b0010))
+    for check in (lambda g: check_rows(g.rows), triangle_count_exact, primitive_degrees):
+        with pytest.raises(ValueError):
+            check(g)
+
+
+def test_triangle_count_rejects_rows_that_pass_check_rows():
+    # 0 -> {1}, 1 -> {0, 3}, 2 -> {0, 3}, 3 -> {0}: asymmetric, yet the
+    # weighted column sums and the bits above the diagonal both balance, so
+    # only the negative count gives them away to the exact kernel
+    g = MaterializedGraph(1, (0b0010, 0b1001, 0b1001, 0b0001))
     check_rows(g.rows)
     with pytest.raises(ValueError, match="negative triangle count"):
         triangle_count_exact(g)
+    with pytest.raises(ValueError):
+        primitive_degrees(g)
 
 
 def test_claimed_recursion_pinned():
