@@ -28,7 +28,7 @@ print(f"  {subset_str(0b001)} ~ {subset_str(0b011)} ? {adjacent(0b001, 0b011)}")
 print(f"  {subset_str(0b001)} ~ {subset_str(0b010)} ? {adjacent(0b001, 0b010)}")
 
 g = materialize(N)
-edges = [(g.masks[u], g.masks[v]) for u, v in g.edge_indices()]
+edges = [(g.masks[u], g.masks[v]) for u, v in g.edges()]
 print(f"\nMaterialized: {len(edges)} edges")
 for u, v in edges:
     print(f"  {subset_str(u)} -- {subset_str(v)}")

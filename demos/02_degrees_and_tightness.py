@@ -42,9 +42,9 @@ total = sum(tightness(N, m) for m in g.masks)
 print(f"  sum of tightness over G({N}) = {total} = 2 * {edge_count_closed(N)}")
 
 print("\nstepping the tightness recursion from G(2) to G(3):")
-old = tightness_vector(2).values
+old = tightness_vector(2)
 new = tightness_recursion_step(2, old)
-direct = tightness_vector(3).values
+direct = tightness_vector(3)
 print(f"  recursion: {new}")
 print(f"  direct:    {direct}")
 assert new == direct

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -106,7 +105,7 @@ def _witness(masks) -> dict:
     return {"masks": masks, "subsets": [subset_str(m) for m in masks]}
 
 
-def invariant_report(n: int, *, threads: int = 1, caps: Caps = DEFAULT_CAPS) -> dict:
+def invariant_report(n: int, *, caps: Caps = DEFAULT_CAPS) -> dict:
     """All invariants of G(n) in one JSON-ready record.
 
     Fields whose computation sits above a cap come out as None, with the
@@ -127,9 +126,7 @@ def invariant_report(n: int, *, threads: int = 1, caps: Caps = DEFAULT_CAPS) -> 
     ]
     if n <= min(caps.triangle_exact_max_n, caps.materialize_max_n):
         g = materialize(n, caps=caps)
-        report["triangles_exact"] = holes.triangle_count_exact(
-            g, threads=threads, caps=caps
-        )
+        report["triangles_exact"] = holes.triangle_count_exact(g, caps=caps)
     else:
         report["triangles_exact"] = None
         reasons["triangles_exact"] = (
@@ -253,11 +250,6 @@ def _int_setting(args, config: dict, key: str, default: int, minimum: int = 0) -
     return check_int(key, _setting(args, config, key, default), minimum)
 
 
-def _thread_count(args, config: dict) -> int:
-    """The requested worker count, clamped to the machine's CPU count."""
-    return min(_int_setting(args, config, "threads", 1, minimum=1), os.cpu_count() or 1)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="setgraph",
@@ -319,8 +311,8 @@ def main(argv=None) -> int:
             if args.table:
                 _emit(render_value_table(args.n, args.table, caps=caps), out)
             else:
-                threads = _thread_count(args, config)
-                report = invariant_report(args.n, threads=threads, caps=caps)
+                _int_setting(args, config, "threads", 1, minimum=1)  # validated, then ignored
+                report = invariant_report(args.n, caps=caps)
                 _emit(json.dumps(report, indent=2) + "\n", out)
         elif args.command == "sequence":
             max_n = _int_setting(args, config, "max_n", 10)
@@ -329,9 +321,9 @@ def main(argv=None) -> int:
         elif args.command == "verify":
             selection = _setting(args, config, "claims", "all")
             max_n = _int_setting(args, config, "max_n", 9)
-            threads = _thread_count(args, config)
+            _int_setting(args, config, "threads", 1, minimum=1)  # validated, then ignored
             fmt = _setting(args, config, "format", "json")
-            verdicts = verify.run_claims(selection, max_n, caps=caps, threads=threads)
+            verdicts = verify.run_claims(selection, max_n, caps=caps)
             _emit(verify.render_report(verdicts, fmt, max_n=max_n, caps=caps), out)
         elif args.command == "mela":
             max_index = _int_setting(args, config, "max_index", 20)

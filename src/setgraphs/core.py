@@ -6,6 +6,9 @@ encoded as an n-bit integer mask (bit j-1 set iff a_j is in the subset), so
 adjacency is a single AND. The graph is never stored unless explicitly
 materialized; the canonical vertex order is (cardinality ascending, mask
 ascending), which fixes the v_{s,i} labels used everywhere.
+
+`Graph` is the one type for a graph held as explicit adjacency bit rows:
+`materialize` returns G(n) as one, and the exact oracles take any Graph.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .config import DEFAULT_CAPS, CapExceeded, Caps
 
@@ -162,14 +165,15 @@ def _submasks(m: int) -> Iterator[int]:
 
 
 @dataclass(frozen=True)
-class MaterializedGraph:
-    """Explicit adjacency rows over the canonical vertex order.
+class Graph:
+    """Explicit graph as adjacency bit rows: bit v of rows[u] set iff u ~ v.
 
-    rows[u] is an integer bit vector: bit v set iff vertex u and vertex v are
-    adjacent. Rows are symmetric and irreflexive by construction.
+    Rows are meant to be symmetric and irreflexive. `materialize` builds
+    them so for G(n), in the canonical vertex order; the constructors below
+    build small textbook graphs for the oracle tests. `validate` checks any
+    rows in O(V^2), `check_rows` in O(V) big-int operations.
     """
 
-    n: int
     rows: tuple[int, ...]
 
     @property
@@ -177,24 +181,72 @@ class MaterializedGraph:
         return len(self.rows)
 
     @property
+    def n(self) -> int:
+        """Ground-set size of G(n) for these rows: G(n) has 2^n - 1 of them."""
+        return len(self.rows).bit_length()
+
+    @property
     def masks(self) -> tuple[int, ...]:
+        """Vertex masks of G(n), in the canonical order of the rows."""
         return canonical_masks(self.n)
 
-    def edge_indices(self) -> Iterator[tuple[int, int]]:
+    @classmethod
+    def from_edges(cls, num_vertices: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        rows = [0] * num_vertices
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return cls(tuple(rows))
+
+    @classmethod
+    def complete(cls, m: int) -> "Graph":
+        full = (1 << m) - 1
+        return cls(tuple(full & ~(1 << u) for u in range(m)))
+
+    @classmethod
+    def path(cls, m: int) -> "Graph":
+        return cls.from_edges(m, [(u, u + 1) for u in range(m - 1)])
+
+    @classmethod
+    def edgeless(cls, m: int) -> "Graph":
+        return cls((0,) * m)
+
+    def validate(self) -> None:
+        """Full symmetry/irreflexivity check; O(V^2), for tests."""
+        for u, row in enumerate(self.rows):
+            if row >> u & 1:
+                raise ValueError(f"self-loop at vertex {u}")
+            if row >> self.num_vertices:
+                raise ValueError(f"row {u} has bits beyond the vertex range")
+            for v in _bit_positions(row):
+                if not self.rows[v] >> u & 1:
+                    raise ValueError(f"asymmetric pair ({u}, {v})")
+
+    def edge_count(self) -> int:
+        return sum(row.bit_count() for row in self.rows) // 2
+
+    def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as index pairs (u, v), u < v, ascending."""
         for u, row in enumerate(self.rows):
-            suc = row >> (u + 1)
-            for off in _bit_positions(suc):
+            for off in _bit_positions(row >> (u + 1)):
                 yield u, u + 1 + off
 
+    def without_edge(self, u: int, v: int) -> "Graph":
+        rows = list(self.rows)
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+        return Graph(tuple(rows))
 
-def _complement_rows(g: MaterializedGraph) -> list[int]:
+
+def _complement_rows(g: Graph) -> list[int]:
     """Complement rows: bit w of row u is set iff w != u and u, w are not adjacent."""
     full = (1 << g.num_vertices) - 1
     return [full & ~row & ~(1 << u) for u, row in enumerate(g.rows)]
 
 
-def materialize(n: int, *, caps: Caps = DEFAULT_CAPS) -> MaterializedGraph:
+def materialize(n: int, *, caps: Caps = DEFAULT_CAPS) -> Graph:
     """Build explicit adjacency rows; guarded because memory grows as V^2/8."""
     check_ground_size(n, caps.count_max_n)
     if n > caps.materialize_max_n:
@@ -219,7 +271,7 @@ def materialize(n: int, *, caps: Caps = DEFAULT_CAPS) -> MaterializedGraph:
         for e in _bit_positions(m):
             row |= star_ints[e]
         rows.append(row & ~(1 << idx))  # no self-loop
-    return MaterializedGraph(n, tuple(rows))
+    return Graph(tuple(rows))
 
 
 def _meeting_runs(n: int, u: int) -> Iterator[tuple[int, int]]:
@@ -246,24 +298,6 @@ def _meeting_runs(n: int, u: int) -> Iterator[tuple[int, int]]:
         yield lo, top
 
 
-def edges_by_mask(n: int, *, caps: Caps = DEFAULT_CAPS) -> Iterator[tuple[int, int]]:
-    """Edges as mask pairs (u, v), u < v numerically, in sorted order.
-
-    Streams without materializing the graph: for each u, the masks above u
-    that meet it come from `_meeting_runs`, which skips the disjoint ones by
-    submask enumeration. The cap check happens up front, not on first pull.
-    """
-    check_ground_size(n, caps.materialize_max_n)
-
-    def stream() -> Iterator[tuple[int, int]]:
-        for u in range(1, 1 << n):
-            for lo, hi in _meeting_runs(n, u):
-                for v in range(lo, hi):
-                    yield u, v
-
-    return stream()
-
-
 @dataclass(frozen=True)
 class ExtensionMap:
     """Vertex classification for the step from G(n) to G(n+1).
@@ -279,10 +313,6 @@ class ExtensionMap:
     erstwhile: tuple[int, ...] = field(repr=False)
     replicas: tuple[int, ...] = field(repr=False)
     new_singleton: int = 0
-
-    def replica_of(self, m: int) -> int:
-        check_mask(self.n, m)
-        return m | self.new_singleton
 
     def classify(self, m: int) -> str:
         """'erstwhile', 'replica', or 'new' for a mask of G(n+1)."""

@@ -35,7 +35,7 @@ from math import comb
 
 from .config import DEFAULT_CAPS, CapExceeded, Caps
 from .core import (
-    MaterializedGraph,
+    Graph,
     _bit_positions,
     _complement_rows,
     canonical_index,
@@ -45,14 +45,7 @@ from .core import (
 from .invariants import degree_closed, edge_count_closed
 
 
-def h_complete(m: int) -> int:
-    """Triangles in the complete graph on m vertices: C(m, 3)."""
-    if m < 1:
-        raise ValueError(f"vertex count must be positive, got {m}")
-    return comb(m, 3)
-
-
-def _complement_triangles(g: MaterializedGraph) -> int:
+def _complement_triangles(g: Graph) -> int:
     """Triangles of the complement of g, counted on explicit complement rows.
 
     comp[u] keeps only the complement neighbours below u, so each complement
@@ -68,15 +61,12 @@ def _complement_triangles(g: MaterializedGraph) -> int:
     return total
 
 
-def triangle_count_exact(
-    g: MaterializedGraph, *, threads: int = 1, caps: Caps = DEFAULT_CAPS
-) -> int:
+def triangle_count_exact(g: Graph, *, caps: Caps = DEFAULT_CAPS) -> int:
     """Exact triangle count of the materialized graph, by Goodman's identity.
 
     t(G) = C(V,3) - 1/2 sum_v d(v)(V-1-d(v)) - t(complement of G): the sum
     counts twice each vertex triple holding one or two edges. For G(n) the
-    complement is the sparse disjointness graph. ``threads`` is accepted for
-    compatibility and ignored: the count runs on one thread.
+    complement is the sparse disjointness graph.
 
     Rows that fail `check_rows`, whose degree term comes out odd, or that
     give a negative count raise ValueError.
@@ -156,7 +146,7 @@ def triangle_count_corrected(n: int, *, caps: Caps = DEFAULT_CAPS) -> int:
     return h
 
 
-def primitive_degree(g: MaterializedGraph, m: int) -> int:
+def primitive_degree(g: Graph, m: int) -> int:
     """Number of triangles containing the vertex of mask m."""
     v = canonical_index(g.n, m)
     row_v = g.rows[v]
@@ -166,7 +156,7 @@ def primitive_degree(g: MaterializedGraph, m: int) -> int:
     return twice // 2
 
 
-def primitive_degrees(g: MaterializedGraph) -> tuple[int, ...]:
+def primitive_degrees(g: Graph) -> tuple[int, ...]:
     """Per-vertex triangle incidence in canonical order, by Goodman's identity.
 
     The triangles at v are the edges among its neighbours: the |E| - d(v)
@@ -245,7 +235,12 @@ class HoleReport:
 
 
 def hole_report(n: int, *, threads: int = 1, caps: Caps = DEFAULT_CAPS) -> HoleReport:
-    """Triangle statistics of G(n); ``threads`` is accepted and ignored."""
+    """Triangle statistics of G(n).
+
+    ``threads`` is accepted and ignored: everything runs on one thread. It
+    stays because the benchmark's child process (perfbench/child.py) calls
+    ``hole_report(n, threads=1)``.
+    """
     from .core import materialize
 
     check_ground_size(n, caps.count_max_n)
@@ -253,7 +248,7 @@ def hole_report(n: int, *, threads: int = 1, caps: Caps = DEFAULT_CAPS) -> HoleR
     histogram = None
     if n <= min(caps.triangle_exact_max_n, caps.materialize_max_n):
         g = materialize(n, caps=caps)
-        h_exact = triangle_count_exact(g, threads=threads, caps=caps)
+        h_exact = triangle_count_exact(g, caps=caps)
         histogram = {}
         for dp in primitive_degrees(g):
             histogram[dp] = histogram.get(dp, 0) + 1

@@ -8,12 +8,11 @@ against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .config import DEFAULT_CAPS, Caps
 from .core import (
-    MaterializedGraph,
+    Graph,
     _submasks,
     canonical_index,
     canonical_masks,
@@ -50,7 +49,7 @@ def degree_inclusion_exclusion(n: int, m: int) -> int:
     return total - 1
 
 
-def degree_brute(g: MaterializedGraph, m: int) -> int:
+def degree_brute(g: Graph, m: int) -> int:
     """Degree read off the explicit adjacency row of mask m."""
     return g.rows[canonical_index(g.n, m)].bit_count()
 
@@ -59,38 +58,6 @@ def degree_extremes(n: int, *, caps: Caps = DEFAULT_CAPS) -> tuple[int, int]:
     """(min degree, max degree) = (2^(n-1) - 1, 2^n - 2); the max is twice the min."""
     check_ground_size(n, caps.count_max_n)
     return (1 << (n - 1)) - 1, (1 << n) - 2
-
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Degrees of G(n): one value per cardinality and the full canonical sequence.
-
-    The per-vertex sequence is only spelled out while the vertex list is
-    affordable (the materialization cap); above that it is empty and the
-    per-cardinality values carry everything.
-    """
-
-    n: int
-    by_cardinality: tuple[int, ...]  # index k-1 -> degree of any k-subset vertex
-    sequence: tuple[int, ...]  # degree per vertex in canonical order
-
-    @property
-    def min_degree(self) -> int:
-        return self.by_cardinality[0]
-
-    @property
-    def max_degree(self) -> int:
-        return self.by_cardinality[-1]
-
-
-def degree_profile(n: int, *, caps: Caps = DEFAULT_CAPS) -> DegreeProfile:
-    check_ground_size(n, caps.count_max_n)
-    by_card = tuple(degree_closed(n, k) for k in range(1, n + 1))
-    if n <= caps.materialize_max_n:
-        seq = tuple(by_card[m.bit_count() - 1] for m in canonical_masks(n))
-    else:
-        seq = ()
-    return DegreeProfile(n, by_card, seq)
 
 
 def edge_count_closed(n: int, *, caps: Caps = DEFAULT_CAPS) -> int:
@@ -119,7 +86,7 @@ def edge_count_recursive(n: int, *, caps: Caps = DEFAULT_CAPS) -> int:
     return e
 
 
-def edge_count_brute(g: MaterializedGraph) -> int:
+def edge_count_brute(g: Graph) -> int:
     """Half the sum of row popcounts; rows that fail `check_rows` raise ValueError."""
     check_rows(g.rows)
     total = sum(row.bit_count() for row in g.rows)
@@ -141,17 +108,10 @@ def tightness(n: int, m: int) -> int:
     return (1 << n) - 2 - disjoint
 
 
-@dataclass(frozen=True)
-class TightnessVector:
+def tightness_vector(n: int, *, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
     """Tightness value per vertex in canonical order; equals the degree sequence."""
-
-    n: int
-    values: tuple[int, ...]
-
-
-def tightness_vector(n: int, *, caps: Caps = DEFAULT_CAPS) -> TightnessVector:
     check_ground_size(n, caps.materialize_max_n)
-    return TightnessVector(n, tuple(tightness(n, m) for m in canonical_masks(n)))
+    return tuple(tightness(n, m) for m in canonical_masks(n))
 
 
 def tightness_recursion_step(n: int, old_values) -> tuple[int, ...]:

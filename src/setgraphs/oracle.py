@@ -1,19 +1,18 @@
 """Exact algorithms on small explicit graphs, used as independent ground truth.
 
-Every search here is deterministic (fixed pivot and branch order) and accepts
-arbitrary symmetric adjacency rows, so each can be unit-tested on textbook
-graphs before it adjudicates any claim about subset intersection graphs.
+Every search here is deterministic (fixed pivot and branch order) and takes
+any `core.Graph` with symmetric adjacency rows, so each can be unit-tested on
+textbook graphs (`Graph.complete`, `Graph.path`, `Graph.from_edges`) before
+it adjudicates any claim about subset intersection graphs, where it reads the
+rows of `materialize(n)` as they are.
 Instances are capped at sizes where bespoke branch-and-bound finishes in
 seconds; there are no heuristic fallbacks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
-
 from .config import CapExceeded
-from .core import MaterializedGraph, _bit_positions
+from .core import Graph, _bit_positions
 
 ENUM_TRIANGLES_MAX_VERTICES = 1 << 13
 CLIQUE_MAX_VERTICES = 63
@@ -21,84 +20,12 @@ CHROMATIC_MAX_VERTICES = 16
 SEARCH_MAX_VERTICES = 31
 
 
-@dataclass(frozen=True)
-class SmallGraph:
-    """Explicit graph: vertex count plus one adjacency bit row per vertex."""
-
-    num_vertices: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.rows) != self.num_vertices:
-            raise ValueError("row count must equal vertex count")
-
-    @classmethod
-    def from_edges(cls, num_vertices: int, edges: Iterable[tuple[int, int]]) -> "SmallGraph":
-        rows = [0] * num_vertices
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return cls(num_vertices, tuple(rows))
-
-    @classmethod
-    def complete(cls, m: int) -> "SmallGraph":
-        full = (1 << m) - 1
-        return cls(m, tuple(full & ~(1 << u) for u in range(m)))
-
-    @classmethod
-    def path(cls, m: int) -> "SmallGraph":
-        return cls.from_edges(m, [(u, u + 1) for u in range(m - 1)])
-
-    @classmethod
-    def edgeless(cls, m: int) -> "SmallGraph":
-        return cls(m, (0,) * m)
-
-    @classmethod
-    def from_materialized(cls, g: MaterializedGraph) -> "SmallGraph":
-        return cls(g.num_vertices, g.rows)
-
-    def validate(self) -> None:
-        """Full symmetry/irreflexivity check; O(V^2), for tests."""
-        for u, row in enumerate(self.rows):
-            if row >> u & 1:
-                raise ValueError(f"self-loop at vertex {u}")
-            if row >> self.num_vertices:
-                raise ValueError(f"row {u} has bits beyond the vertex range")
-            for v in _bit_positions(row):
-                if not self.rows[v] >> u & 1:
-                    raise ValueError(f"asymmetric pair ({u}, {v})")
-
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.rows) // 2
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u, row in enumerate(self.rows):
-            for v in _bit_positions(row >> (u + 1)):
-                yield u, u + 1 + v
-
-    def without_edge(self, u: int, v: int) -> "SmallGraph":
-        rows = list(self.rows)
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-        return SmallGraph(self.num_vertices, tuple(rows))
-
-    def relabeled(self, perm: list[int]) -> "SmallGraph":
-        """Graph with vertex u renamed perm[u]."""
-        rows = [0] * self.num_vertices
-        for u, row in enumerate(self.rows):
-            for v in _bit_positions(row):
-                rows[perm[u]] |= 1 << perm[v]
-        return SmallGraph(self.num_vertices, tuple(rows))
-
-
-def _check_cap(g: SmallGraph, cap: int, what: str) -> None:
+def _check_cap(g: Graph, cap: int, what: str) -> None:
     if g.num_vertices > cap:
         raise CapExceeded(f"{what} handles at most {cap} vertices, got {g.num_vertices}")
 
 
-def enum_triangles(g: SmallGraph) -> list[tuple[int, int, int]]:
+def enum_triangles(g: Graph) -> list[tuple[int, int, int]]:
     """All triangles as ordered index triples u < v < w."""
     _check_cap(g, ENUM_TRIANGLES_MAX_VERTICES, "enum_triangles")
     out = []
@@ -111,7 +38,7 @@ def enum_triangles(g: SmallGraph) -> list[tuple[int, int, int]]:
     return out
 
 
-def max_cliques_exact(g: SmallGraph) -> list[tuple[int, ...]]:
+def max_cliques_exact(g: Graph) -> list[tuple[int, ...]]:
     """All maximum cliques via Bron-Kerbosch with pivoting.
 
     Returns sorted vertex tuples in lexicographic order. The pivot is the
@@ -148,7 +75,7 @@ def max_cliques_exact(g: SmallGraph) -> list[tuple[int, ...]]:
     return sorted(tuple(_bit_positions(c)) for c in best)
 
 
-def chromatic_exact(g: SmallGraph) -> int:
+def chromatic_exact(g: Graph) -> int:
     """Exact chromatic number by backtracking, starting from the clique bound."""
     _check_cap(g, CHROMATIC_MAX_VERTICES, "chromatic_exact")
     v_count = g.num_vertices
@@ -181,7 +108,7 @@ def chromatic_exact(g: SmallGraph) -> int:
     return k
 
 
-def mis_exact(g: SmallGraph) -> int:
+def mis_exact(g: Graph) -> int:
     """Maximum independent set size by branch and bound."""
     _check_cap(g, SEARCH_MAX_VERTICES, "mis_exact")
     rows = g.rows
@@ -210,7 +137,7 @@ def mis_exact(g: SmallGraph) -> int:
     return best
 
 
-def dominating_exact(g: SmallGraph) -> int:
+def dominating_exact(g: Graph) -> int:
     """Minimum dominating set size; branches over the closed neighborhood of
     the most constrained undominated vertex."""
     _check_cap(g, SEARCH_MAX_VERTICES, "dominating_exact")
@@ -239,7 +166,7 @@ def dominating_exact(g: SmallGraph) -> int:
     return best
 
 
-def vertex_cover_exact(g: SmallGraph) -> int:
+def vertex_cover_exact(g: Graph) -> int:
     """Minimum vertex cover size; branches on the endpoints of an uncovered edge.
 
     The edge is the first uncovered one in (u, v) order, u < v, read off the

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_CAPS, CapExceeded, Caps
 from .core import (
-    MaterializedGraph,
+    Graph,
     _bit_positions,
     _complement_rows,
     adjacent,
@@ -21,7 +21,7 @@ from .core import (
     full_mask,
     materialize,
 )
-from .oracle import SmallGraph, dominating_exact, max_cliques_exact
+from .oracle import dominating_exact, max_cliques_exact
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def clique_witness(n: int, *, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
     return tuple(m for m in canonical_masks(n) if m & 1)
 
 
-def max_cliques(g: MaterializedGraph, *, caps: Caps = DEFAULT_CAPS) -> CliqueSet:
+def max_cliques(g: Graph, *, caps: Caps = DEFAULT_CAPS) -> CliqueSet:
     """Exhaustive maximum-clique enumeration (oracle path)."""
     if g.n > caps.clique_oracle_max_n:
         raise CapExceeded(
@@ -110,7 +110,7 @@ def max_cliques(g: MaterializedGraph, *, caps: Caps = DEFAULT_CAPS) -> CliqueSet
     masks = canonical_masks(g.n)
     cliques = tuple(
         tuple(masks[i] for i in clique)
-        for clique in max_cliques_exact(SmallGraph.from_materialized(g))
+        for clique in max_cliques_exact(g)
     )
     return CliqueSet(g.n, len(cliques[0]) if cliques else 0, cliques)
 
@@ -141,14 +141,13 @@ def bondage_number(n: int, *, caps: Caps = DEFAULT_CAPS) -> tuple[int, tuple[int
     return 1, (1, full_mask(n))
 
 
-def single_edge_bondage(g: MaterializedGraph) -> tuple[int, int] | None:
+def single_edge_bondage(g: Graph) -> tuple[int, int] | None:
     """Oracle sweep: the first edge (canonical order) whose removal increases
     the exact domination number, or None if no single edge does."""
-    small = SmallGraph.from_materialized(g)
-    base = dominating_exact(small)
-    masks = canonical_masks(g.n)
-    for u, v in g.edge_indices():
-        if dominating_exact(small.without_edge(u, v)) > base:
+    base = dominating_exact(g)
+    masks = g.masks
+    for u, v in g.edges():
+        if dominating_exact(g.without_edge(u, v)) > base:
             return masks[u], masks[v]
     return None
 
@@ -166,49 +165,27 @@ def mcpherson_number(n: int, *, caps: Caps = DEFAULT_CAPS) -> int:
     return (1 << (n - 1)) - 1
 
 
-def disjointness_graph(n: int, *, caps: Caps = DEFAULT_CAPS) -> SmallGraph:
+def disjointness_graph(n: int, *, caps: Caps = DEFAULT_CAPS) -> Graph:
     """Complement of G(n) on the same canonical vertices: edges join disjoint subsets."""
-    g = materialize(n, caps=caps)
-    return SmallGraph(g.num_vertices, tuple(_complement_rows(g)))
+    return Graph(tuple(_complement_rows(materialize(n, caps=caps))))
 
 
-@dataclass
-class ExplosionState:
-    """Mutable underlying graph during a sequence of vertex explosions."""
-
-    num_vertices: int
-    rows: list[int]
-    exploded: list[int]
-
-    @classmethod
-    def of(cls, g: MaterializedGraph | SmallGraph) -> "ExplosionState":
-        return cls(g.num_vertices, list(g.rows), [])
-
-    def explode(self, idx: int) -> None:
-        """Join idx to every vertex it is not yet adjacent to."""
-        everyone = ((1 << self.num_vertices) - 1) & ~(1 << idx)
-        added = everyone & ~self.rows[idx]
-        self.rows[idx] = everyone
-        for v in _bit_positions(added):
-            self.rows[v] |= 1 << idx
-        self.exploded.append(idx)
-
-    def is_complete(self) -> bool:
-        everyone = (1 << self.num_vertices) - 1
-        return all(
-            row == everyone & ~(1 << u) for u, row in enumerate(self.rows)
-        )
-
-
-def simulate_explosions(g: MaterializedGraph, order) -> int | None:
+def simulate_explosions(g: Graph, order) -> int | None:
     """Apply explosions at the given masks in order; return the iteration
     count after which the underlying graph is first complete, or None if it
-    never is."""
-    masks = canonical_masks(g.n)
-    index_of = {m: i for i, m in enumerate(masks)}
+    never is.
+
+    Exploding a vertex joins it to every vertex it is not yet adjacent to.
+    """
+    index_of = {m: i for i, m in enumerate(g.masks)}
+    everyone = (1 << g.num_vertices) - 1
+    rows = list(g.rows)
+
+    def is_complete() -> bool:
+        return all(row == everyone & ~(1 << u) for u, row in enumerate(rows))
+
     seen = set()
-    state = ExplosionState.of(g)
-    if state.is_complete():
+    if is_complete():
         return 0
     for step, m in enumerate(order, start=1):
         idx = index_of.get(m)
@@ -217,7 +194,10 @@ def simulate_explosions(g: MaterializedGraph, order) -> int | None:
         if idx in seen:
             raise ValueError(f"duplicate explosion at mask {m!r}")
         seen.add(idx)
-        state.explode(idx)
-        if state.is_complete():
+        others = everyone & ~(1 << idx)
+        for v in _bit_positions(others & ~rows[idx]):
+            rows[v] |= 1 << idx
+        rows[idx] = others
+        if is_complete():
             return step
     return None

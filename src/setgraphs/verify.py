@@ -24,6 +24,7 @@ from typing import Callable
 from . import holes, invariants, parameters
 from .config import CANONICAL_ORDER_TAG, DEFAULT_CAPS, Caps
 from .core import (
+    Graph,
     _bit_positions,
     canonical_masks,
     extension_map,
@@ -33,7 +34,6 @@ from .core import (
 )
 from .mela import PRODUCT_CAP_INDEX, check_closure, check_divisibility
 from .oracle import (
-    SmallGraph,
     chromatic_exact,
     dominating_exact,
     enum_triangles,
@@ -240,11 +240,11 @@ def _c11(n: int, caps: Caps, top: int | None) -> dict | None:
 
 def _c12(n: int, caps: Caps, top: int | None) -> dict | None:
     old = invariants.tightness_vector(n, caps=caps)
-    stepped = invariants.tightness_recursion_step(n, old.values)
+    stepped = invariants.tightness_recursion_step(n, old)
     direct = invariants.tightness_vector(n + 1, caps=caps)
-    if stepped != direct.values:
+    if stepped != direct:
         mask, a, b = next(
-            t for t in zip(canonical_masks(n + 1), stepped, direct.values) if t[1] != t[2]
+            t for t in zip(canonical_masks(n + 1), stepped, direct) if t[1] != t[2]
         )
         return {"n": n, "expected": a, "actual": b, "witness": {"mask": mask}}
 
@@ -266,7 +266,7 @@ def _c13(n: int, caps: Caps, top: int | None) -> dict | None:
     if coloring.color_count != target or not coloring.is_proper() or not clique_ok:
         return {"n": n, "expected": target, "actual": coloring.color_count}
     if n <= top:
-        chi = chromatic_exact(SmallGraph.from_materialized(g))
+        chi = chromatic_exact(g)
         if chi != target:
             return {"n": n, "expected": target, "actual": chi}
 
@@ -275,7 +275,7 @@ def _c14(n: int, caps: Caps, top: int | None) -> dict | None:
     expected, witness = parameters.independence_number(n, caps=caps)
     if any(u & v for i, u in enumerate(witness) for v in witness[i + 1 :]):
         return {"n": n, "expected": "independent witness", "actual": list(witness)}
-    alpha = mis_exact(SmallGraph.from_materialized(materialize(n, caps=caps)))
+    alpha = mis_exact(materialize(n, caps=caps))
     if alpha != expected:
         return {"n": n, "expected": expected, "actual": alpha}
 
@@ -286,7 +286,7 @@ def _c15(n: int, caps: Caps, top: int | None) -> dict | None:
     if apex_row.bit_count() != g.num_vertices - 1:
         return {"n": n, "expected": g.num_vertices - 1, "actual": apex_row.bit_count()}
     if n <= top:
-        gamma = dominating_exact(SmallGraph.from_materialized(g))
+        gamma = dominating_exact(g)
         if gamma != 1:
             return {"n": n, "expected": 1, "actual": gamma}
 
@@ -329,7 +329,7 @@ def _c18(n: int, caps: Caps, top: int | None) -> dict | None:
     if checksum != twice_edges:
         return {"n": n, "expected": twice_edges, "actual": checksum}
     if n <= top:
-        direct = sum(invariants.tightness_vector(n, caps=caps).values)
+        direct = sum(invariants.tightness_vector(n, caps=caps))
         if direct != twice_edges:
             return {"n": n, "expected": twice_edges, "actual": direct}
 
@@ -338,7 +338,7 @@ def _check_c19(max_n: int, caps: Caps) -> ClaimVerdict:
     top = 16 if max_n >= 4 else 1 << max_n
     ms = list(range(1, top + 1))
     for m in ms:
-        count = len(enum_triangles(SmallGraph.complete(m)))
+        count = len(enum_triangles(Graph.complete(m)))
         if count != comb(m, 3):
             return _refuted("C19", range(1, m + 1), {"n": m, "expected": comb(m, 3), "actual": count})
     return _confirmed("C19", ms, [f"complete graphs on 1..{top} vertices, exhaustive enumeration"])
@@ -502,15 +502,12 @@ def resolve_selection(selection) -> tuple[str, ...]:
     return tuple(cid for cid in ALL_CLAIM_IDS if cid in chosen)
 
 
-def run_claims(
-    selection, max_n: int, *, caps: Caps = DEFAULT_CAPS, threads: int = 1
-) -> list[ClaimVerdict]:
+def run_claims(selection, max_n: int, *, caps: Caps = DEFAULT_CAPS) -> list[ClaimVerdict]:
     """Adjudicate the selected claims up to ground-set size max_n.
 
     Claims run one after another in registry order. Each check is looked up
     in CLAIMS_BY_ID at call time, so a wrapper written there is the check
-    that runs. ``threads`` is accepted and ignored: the checks are pure
-    Python and would gain nothing from a pool.
+    that runs.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")

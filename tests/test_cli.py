@@ -16,19 +16,17 @@ from setgraphs import (
     SKIPPED,
     adjacent,
     edge_count_closed,
-    edges_by_mask,
     materialize,
     run_claims,
     tightness,
 )
 from setgraphs.cli import (
-    _thread_count,
-    build_parser,
     invariant_report,
     main,
     render_value_table,
     sequence_rows,
 )
+from setgraphs.core import _meeting_runs
 
 
 def run_cli(*argv):
@@ -87,9 +85,15 @@ def test_csv_edge_count_matches_closed_form(tmp_path):
         assert rows == sorted(rows, key=lambda r: tuple(map(int, r.split(","))))
 
 
+def _meeting_run_lists(n: int) -> list[list[tuple[int, int]]]:
+    return [list(_meeting_runs(n, u)) for u in range(1, 1 << n)]
+
+
 def test_edge_stream_count_matches_closed_form_to_12():
+    # the runs the exporters slice their names from hold every edge once
     for n in (11, 12):
-        assert sum(1 for _ in edges_by_mask(n)) == edge_count_closed(n)
+        total = sum(hi - lo for runs in _meeting_run_lists(n) for lo, hi in runs)
+        assert total == edge_count_closed(n)
 
 
 # sha256 of `build N --format F` on stdout, taken from the exporters that
@@ -137,7 +141,9 @@ def test_edge_stream_matches_pair_scan():
     for n in range(1, 9):
         top = 1 << n
         pairs = [(u, v) for u in range(1, top) for v in range(u + 1, top) if u & v]
-        assert list(edges_by_mask(n)) == pairs
+        runs = _meeting_run_lists(n)
+        assert [(u, v) for u, u_runs in enumerate(runs, start=1)
+                for lo, hi in u_runs for v in range(lo, hi)] == pairs
 
 
 @pytest.mark.parametrize(
@@ -309,18 +315,26 @@ def test_config_bad_cap_value_is_a_usage_error(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
-def test_thread_count_clamped_to_cpu_count(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    flagged = build_parser().parse_args(["invariants", "3", "--threads", "64"])
-    assert _thread_count(flagged, {}) == 2
-    plain = build_parser().parse_args(["verify"])
-    assert _thread_count(plain, {"threads": 10**6}) == 2
-    assert _thread_count(plain, {"threads": 1}) == 1
-    assert _thread_count(plain, {}) == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _thread_count(flagged, {}) == 1
-    with pytest.raises(ValueError):
-        _thread_count(plain, {"threads": 0})
+def test_threads_is_validated_then_ignored(tmp_path, capsys):
+    # any thread count >= 1 runs and leaves the output unchanged; 0 is a
+    # usage error with a one-line message, from the flag or the config
+    assert run_cli("invariants", "3") == 0
+    lone = capsys.readouterr().out
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"threads": 10**6}))
+    assert run_cli("invariants", "3", "--threads", "64") == 0
+    assert capsys.readouterr().out == lone
+    assert run_cli("--config", str(config), "invariants", "3") == 0
+    assert capsys.readouterr().out == lone
+    config.write_text(json.dumps({"threads": 0}))
+    for argv in (("--config", str(config), "invariants", "3"),
+                 ("--config", str(config), "verify", "--claims", "C1"),
+                 ("invariants", "3", "--threads", "0"),
+                 ("verify", "--claims", "C1", "--threads", "0")):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("setgraph: threads must be an integer >= 1")
+        assert err.count("\n") == 1
 
 
 def _run_subprocess(*args):

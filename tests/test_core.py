@@ -122,7 +122,7 @@ def test_materialize_n1_trivial():
 
 def test_materialize_n2_path():
     g = materialize(2)
-    edges = {(g.masks[u], g.masks[v]) for u, v in g.edge_indices()}
+    edges = {(g.masks[u], g.masks[v]) for u, v in g.edges()}
     assert edges == {(1, 3), (2, 3)}
 
 
@@ -207,8 +207,9 @@ def test_extension_map_counts_and_examples():
 def test_extension_parallel_linkage_and_replica_clique():
     for n in range(1, 11):
         em = extension_map(n)
-        for m in em.erstwhile:
-            assert adjacent(m, em.replica_of(m))
+        for m, replica in zip(em.erstwhile, em.replicas):
+            assert replica == m | em.new_singleton
+            assert adjacent(m, replica)
         block = list(em.replicas) + [em.new_singleton]
         assert len(block) == 2**n
         for i, u in enumerate(block):

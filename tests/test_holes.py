@@ -13,7 +13,6 @@ from setgraphs import (
     edge_count_closed,
     enum_triangles,
     full_mask,
-    h_complete,
     hole_report,
     materialize,
     primitive_degree,
@@ -23,23 +22,13 @@ from setgraphs import (
     triangle_count_exact,
 )
 from setgraphs.config import DEFAULT_CAPS
-from setgraphs.core import MaterializedGraph, check_rows
+from setgraphs.core import Graph, check_rows
 from setgraphs.holes import _complement_triangles
-from setgraphs.oracle import SmallGraph
 
 # frozen from exhaustive triple enumeration
 EXACT = {1: 0, 2: 0, 3: 13, 4: 222, 5: 2585, 6: 25830, 7: 238833}
 # frozen from literal evaluation of the claimed recursion
 CLAIMED = {2: 0, 3: 12, 4: 128, 5: 1008, 6: 7468}
-
-
-def test_h_complete():
-    assert h_complete(4) == 4
-    assert h_complete(3) == 1
-    assert h_complete(8) == 56
-    assert h_complete(1) == 0
-    with pytest.raises(ValueError):
-        h_complete(0)
 
 
 def test_exact_counts_pinned():
@@ -50,7 +39,7 @@ def test_exact_counts_pinned():
 def test_exact_matches_triple_enumeration():
     for n in range(1, 6):
         g = materialize(n)
-        triples = enum_triangles(SmallGraph.from_materialized(g))
+        triples = enum_triangles(g)
         assert len(triples) == triangle_count_exact(g)
 
 
@@ -97,8 +86,7 @@ def test_exact_kernel_on_arbitrary_graphs():
             t for t in combinations(range(v), 3)
             if {(t[0], t[1]), (t[0], t[2]), (t[1], t[2])} <= edges
         ]
-        # the kernel reads only the rows; n feeds the cap check alone
-        g = MaterializedGraph(1, tuple(rows))
+        g = Graph(tuple(rows))
         assert triangle_count_exact(g) == len(triangles)
         assert primitive_degrees(g) == tuple(
             sum(u in t for t in triangles) for u in range(v)
@@ -126,7 +114,7 @@ def test_kernels_on_graphs_wider_than_one_digit():
             rows[a] |= 1 << b
             rows[b] |= 1 << a
         per_vertex = nx.triangles(graph)
-        g = MaterializedGraph(1, tuple(rows))
+        g = Graph(tuple(rows))
         assert triangle_count_exact(g) == sum(per_vertex.values()) // 3
         assert primitive_degrees(g) == tuple(per_vertex[u] for u in range(v))
 
@@ -160,7 +148,7 @@ def test_symmetry_checks_run_under_optimize_flag():
     # out-degree, but three of the five bits lie below the diagonal;
     # 0 -> 1 -> 2 -> 3 -> 0: a directed 4-cycle, with one bit of four below
     code = """
-from setgraphs import MaterializedGraph, edge_count_brute, primitive_degree
+from setgraphs import Graph, edge_count_brute, primitive_degree
 from setgraphs import primitive_degrees, triangle_count_exact
 cases = [
     ((0b110, 0b100, 0b000), (triangle_count_exact, edge_count_brute,
@@ -174,7 +162,7 @@ cases = [
 for rows, checks in cases:
     for check in checks:
         try:
-            check(MaterializedGraph(2, rows))
+            check(Graph(rows))
         except ValueError:
             continue
         raise SystemExit(f"no error from {check} on {rows}")
@@ -192,13 +180,13 @@ def test_primitive_degrees_rejects_rows_with_even_parities(rows):
     # every doubled sum is even here, so only the self-bit check and the
     # check for a negative count can catch these rows
     with pytest.raises(ValueError):
-        primitive_degrees(MaterializedGraph(1, rows))
+        primitive_degrees(Graph(rows))
 
 
 def test_triangle_count_rejects_rows_by_its_negative_count():
     # every in-degree equals its out-degree, but the bits above the diagonal
     # are not half of all bits, so check_rows rejects these rows by itself
-    g = MaterializedGraph(1, (0b1100, 0b0001, 0b0001, 0b0010))
+    g = Graph((0b1100, 0b0001, 0b0001, 0b0010))
     for check in (lambda g: check_rows(g.rows), triangle_count_exact, primitive_degrees):
         with pytest.raises(ValueError):
             check(g)
@@ -208,7 +196,7 @@ def test_triangle_count_rejects_rows_that_pass_check_rows():
     # 0 -> {1}, 1 -> {0, 3}, 2 -> {0, 3}, 3 -> {0}: asymmetric, yet the
     # weighted column sums and the bits above the diagonal both balance, so
     # only the negative count gives them away to the exact kernel
-    g = MaterializedGraph(1, (0b0010, 0b1001, 0b1001, 0b0001))
+    g = Graph((0b0010, 0b1001, 0b1001, 0b0001))
     check_rows(g.rows)
     with pytest.raises(ValueError, match="negative triangle count"):
         triangle_count_exact(g)
@@ -284,11 +272,10 @@ def test_exact_cap():
         triangle_count_exact(materialize(14))
 
 
-def test_threads_do_not_change_the_count():
-    g = materialize(8)
-    lone = triangle_count_exact(g)
-    assert triangle_count_exact(g, threads=2) == lone
-    assert triangle_count_exact(g, threads=4) == lone
+def test_hole_report_accepts_and_ignores_threads():
+    # perfbench/child.py calls hole_report(n, threads=1), so the keyword stays
+    for n in range(1, 8):
+        assert hole_report(n, threads=1).as_dict() == hole_report(n).as_dict()
 
 
 def test_primitive_degree_examples():

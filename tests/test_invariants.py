@@ -7,7 +7,6 @@ from setgraphs import (
     degree_closed,
     degree_extremes,
     degree_inclusion_exclusion,
-    degree_profile,
     edge_count_brute,
     edge_count_closed,
     edge_count_recursive,
@@ -64,18 +63,14 @@ def test_degree_extremes():
         lo, hi = degree_extremes(n)
         assert hi == 2 * lo
         assert lo % 2 == 1 and hi % 2 == 0
+    for n in range(2, 11):
+        # degrees read off explicit rows, not the closed form the extremes use;
         # the full set is the unique vertex of maximum degree
-        seq = degree_profile(n).sequence
+        lo, hi = degree_extremes(n)
+        seq = [row.bit_count() for row in materialize(n).rows]
         assert seq.count(hi) == 1
         assert seq[-1] == hi
         assert min(seq) == lo and max(seq) == hi
-
-
-def test_degree_profile_n3():
-    profile = degree_profile(3)
-    assert profile.by_cardinality == (3, 5, 6)
-    assert profile.sequence == (3, 3, 3, 5, 5, 5, 6)
-    assert profile.min_degree == 3 and profile.max_degree == 6
 
 
 def test_edge_count_closed_pinned():
@@ -129,7 +124,7 @@ def test_tightness_matches_networkx_degree():
 
 
 def test_tightness_recursion_examples():
-    old = tightness_vector(2).values
+    old = tightness_vector(2)
     new = tightness_recursion_step(2, old)
     by_mask = dict(zip((1, 2, 4, 3, 5, 6, 7), new))
     assert by_mask[0b100] == 3  # new singleton {a3}: 2^2 - 1
@@ -139,8 +134,8 @@ def test_tightness_recursion_examples():
 
 def test_tightness_recursion_matches_direct():
     for n in range(1, 9):
-        stepped = tightness_recursion_step(n, tightness_vector(n).values)
-        assert stepped == tightness_vector(n + 1).values
+        stepped = tightness_recursion_step(n, tightness_vector(n))
+        assert stepped == tightness_vector(n + 1)
 
 
 def test_tightness_recursion_length_check():

@@ -4,9 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from setgraphs import CapExceeded
+from setgraphs import CapExceeded, Graph
 from setgraphs.oracle import (
-    SmallGraph,
     chromatic_exact,
     dominating_exact,
     enum_triangles,
@@ -16,65 +15,66 @@ from setgraphs.oracle import (
 )
 
 
-def cycle(m: int) -> SmallGraph:
-    return SmallGraph.from_edges(m, [(u, (u + 1) % m) for u in range(m)])
+def cycle(m: int) -> Graph:
+    return Graph.from_edges(m, [(u, (u + 1) % m) for u in range(m)])
 
 
 def test_smallgraph_constructors_validate():
-    SmallGraph.complete(5).validate()
-    SmallGraph.path(4).validate()
-    SmallGraph.edgeless(3).validate()
+    Graph.complete(5).validate()
+    Graph.path(4).validate()
+    Graph.edgeless(3).validate()
     cycle(5).validate()
     with pytest.raises(ValueError):
-        SmallGraph.from_edges(2, [(0, 0)])
+        Graph.from_edges(2, [(0, 0)])
     with pytest.raises(ValueError):
-        SmallGraph(2, (0b10,))
+        Graph((0b10,)).validate()
 
 
 def test_enum_triangles():
-    assert enum_triangles(SmallGraph.path(3)) == []
-    assert len(enum_triangles(SmallGraph.complete(4))) == 4
+    assert enum_triangles(Graph.path(3)) == []
+    assert len(enum_triangles(Graph.complete(4))) == 4
     assert len(enum_triangles(cycle(5))) == 0
-    tri = enum_triangles(SmallGraph.complete(3))
+    tri = enum_triangles(Graph.complete(3))
     assert tri == [(0, 1, 2)]
 
 
 def test_enum_triangles_invariant_under_relabeling():
-    g = SmallGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 2), (4, 5)])
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 2), (4, 5)])
     base = len(enum_triangles(g))
     for perm in ([5, 4, 3, 2, 1, 0], [2, 0, 1, 5, 3, 4], [1, 3, 5, 0, 2, 4]):
-        assert len(enum_triangles(g.relabeled(perm))) == base
+        relabeled = Graph.from_edges(6, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert len(enum_triangles(relabeled)) == base
 
 
 def test_max_cliques_exact():
-    assert max_cliques_exact(SmallGraph.complete(4)) == [(0, 1, 2, 3)]
-    assert max_cliques_exact(SmallGraph.path(3)) == [(0, 1), (1, 2)]
-    assert max_cliques_exact(SmallGraph.edgeless(3)) == [(0,), (1,), (2,)]
+    assert max_cliques_exact(Graph.complete(4)) == [(0, 1, 2, 3)]
+    assert max_cliques_exact(Graph.path(3)) == [(0, 1), (1, 2)]
+    assert max_cliques_exact(Graph.edgeless(3)) == [(0,), (1,), (2,)]
 
 
 def test_chromatic_exact():
-    assert chromatic_exact(SmallGraph.complete(4)) == 4
-    assert chromatic_exact(SmallGraph.path(3)) == 2
+    assert chromatic_exact(Graph.complete(4)) == 4
+    assert chromatic_exact(Graph.path(3)) == 2
     assert chromatic_exact(cycle(5)) == 3  # odd cycle
-    assert chromatic_exact(SmallGraph.edgeless(4)) == 1
+    assert chromatic_exact(Graph.edgeless(4)) == 1
 
 
 def test_chromatic_at_least_clique():
-    for g in (SmallGraph.complete(5), SmallGraph.path(6), cycle(7), cycle(6)):
+    for g in (Graph.complete(5), Graph.path(6), cycle(7), cycle(6)):
         clique = len(max_cliques_exact(g)[0])
         assert chromatic_exact(g) >= clique
 
 
 def test_mis_dominating_cover():
-    k4 = SmallGraph.complete(4)
+    k4 = Graph.complete(4)
     assert mis_exact(k4) == 1
     assert dominating_exact(k4) == 1
     assert vertex_cover_exact(k4) == 3
-    empty5 = SmallGraph.edgeless(5)
+    empty5 = Graph.edgeless(5)
     assert mis_exact(empty5) == 5
     assert vertex_cover_exact(empty5) == 0
     assert dominating_exact(empty5) == 5
-    p4 = SmallGraph.path(4)
+    p4 = Graph.path(4)
     assert mis_exact(p4) == 2
     assert dominating_exact(p4) == 2
     assert vertex_cover_exact(p4) == 2
@@ -84,7 +84,7 @@ def test_mis_dominating_cover():
     assert vertex_cover_exact(c5) == 3
 
 
-def grotzsch() -> SmallGraph:
+def grotzsch() -> Graph:
     """Mycielskian of C5: triangle-free with chromatic number 4."""
     edges = []
     for i in range(5):
@@ -92,7 +92,7 @@ def grotzsch() -> SmallGraph:
         edges.append((5 + i, (i + 1) % 5))
         edges.append((5 + i, (i - 1) % 5))
         edges.append((10, 5 + i))
-    return SmallGraph.from_edges(11, edges)
+    return Graph.from_edges(11, edges)
 
 
 def test_grotzsch_graph():
@@ -108,7 +108,7 @@ def test_grotzsch_graph():
 
 
 def test_star_domination():
-    star = SmallGraph.from_edges(6, [(0, leaf) for leaf in range(1, 6)])
+    star = Graph.from_edges(6, [(0, leaf) for leaf in range(1, 6)])
     assert dominating_exact(star) == 1
     assert mis_exact(star) == 5
     assert vertex_cover_exact(star) == 1
@@ -116,12 +116,12 @@ def test_star_domination():
 
 def test_gallai_identity():
     graphs = [
-        SmallGraph.complete(6),
-        SmallGraph.path(7),
+        Graph.complete(6),
+        Graph.path(7),
         cycle(8),
         cycle(9),
-        SmallGraph.edgeless(4),
-        SmallGraph.from_edges(7, [(0, 1), (0, 2), (1, 2), (2, 3), (4, 5)]),
+        Graph.edgeless(4),
+        Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (2, 3), (4, 5)]),
     ]
     for g in graphs:
         assert mis_exact(g) + vertex_cover_exact(g) == g.num_vertices
@@ -144,16 +144,16 @@ def test_vertex_cover_matches_networkx_clique_of_complement():
         graph.add_nodes_from(range(v))
         graph.add_edges_from(edges)
         clique, _ = nx.max_weight_clique(nx.complement(graph), weight=None)
-        assert vertex_cover_exact(SmallGraph.from_edges(v, edges)) == v - len(clique)
+        assert vertex_cover_exact(Graph.from_edges(v, edges)) == v - len(clique)
 
     check()
 
 
 def test_caps_raise():
-    big = SmallGraph.edgeless(64)
+    big = Graph.edgeless(64)
     with pytest.raises(CapExceeded):
         max_cliques_exact(big)
     with pytest.raises(CapExceeded):
-        mis_exact(SmallGraph.edgeless(32))
+        mis_exact(Graph.edgeless(32))
     with pytest.raises(CapExceeded):
-        chromatic_exact(SmallGraph.edgeless(17))
+        chromatic_exact(Graph.edgeless(17))

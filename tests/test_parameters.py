@@ -21,7 +21,6 @@ from setgraphs import (
     single_edge_bondage,
 )
 from setgraphs.oracle import (
-    SmallGraph,
     chromatic_exact,
     dominating_exact,
     mis_exact,
@@ -108,7 +107,7 @@ def test_chromatic_coloring():
 
 def test_chromatic_exact_agrees():
     for n in range(1, 5):
-        chi = chromatic_exact(SmallGraph.from_materialized(materialize(n)))
+        chi = chromatic_exact(materialize(n))
         assert chi == 2 ** (n - 1)
 
 
@@ -119,7 +118,7 @@ def test_independence():
     for n in range(1, 6):
         count, witness = independence_number(n)
         assert count == n
-        assert mis_exact(SmallGraph.from_materialized(materialize(n))) == n
+        assert mis_exact(materialize(n)) == n
         for i, u in enumerate(witness):
             for v in witness[i + 1 :]:
                 assert not adjacent(u, v)
@@ -131,7 +130,7 @@ def test_domination():
     for n in range(1, 5):
         g = materialize(n)
         assert g.rows[-1].bit_count() == g.num_vertices - 1  # full set is universal
-        assert dominating_exact(SmallGraph.from_materialized(g)) == 1
+        assert dominating_exact(g) == 1
 
 
 def test_bondage():
@@ -146,10 +145,9 @@ def test_bondage():
 
 def test_bondage_witness_really_raises_domination():
     g = materialize(3)
-    small = SmallGraph.from_materialized(g)
     u = g.masks.index(1)
     v = g.masks.index(full_mask(3))
-    assert dominating_exact(small.without_edge(u, v)) == 2
+    assert dominating_exact(g.without_edge(u, v)) == 2
 
 
 def test_mcpherson_number_and_cover():

