@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate, count
 from math import comb
+from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
 from .config import DEFAULT_CAPS, CapExceeded, Caps
@@ -127,8 +129,32 @@ def canonical_index(n: int, m: int) -> int:
     return class_offset(n, s) + i - 1
 
 
+# From this many set bits on, `_bit_positions` reads the binary string. The
+# two walks broke even between 16 and 28 set bits at row lengths of 31 to
+# 8191 bits (Python 3.11, x86-64).
+_STRING_WALK_MIN_BITS = 25
+
+
 def _bit_positions(m: int) -> Iterator[int]:
-    """0-based positions of the set bits of m, ascending."""
+    """0-based positions of the set bits of m, ascending; iterate the result once.
+
+    Two walks, picked by m.bit_count(). With fewer than
+    _STRING_WALK_MIN_BITS set bits (masks, small oracle rows), step bit by
+    bit: isolate the lowest bit, read its position, clear it. Each step
+    works on the whole int, so on a row of L bits it costs O(L/30) digit
+    operations. With more, take them all from one C-level pass over the
+    binary string: split the reversed digits at the ones, and the k-th
+    position is the number of zeros before the k-th one plus k. That pass
+    costs O(L) once, plus O(1) per set bit.
+    """
+    if m.bit_count() < _STRING_WALK_MIN_BITS:
+        return _step_positions(m)
+    zero_runs = bin(m)[:1:-1].split("1")
+    zero_runs.pop()  # the empty run above the top bit
+    return map(add, accumulate(map(len, zero_runs)), count())
+
+
+def _step_positions(m: int) -> Iterator[int]:
     while m:
         low = m & -m
         yield low.bit_length() - 1
@@ -246,8 +272,19 @@ def _complement_rows(g: Graph) -> list[int]:
     return [full & ~row & ~(1 << u) for u, row in enumerate(g.rows)]
 
 
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def materialize(n: int, *, caps: Caps = DEFAULT_CAPS) -> Graph:
-    """Build explicit adjacency rows; guarded because memory grows as V^2/8."""
+    """G(n) as explicit adjacency rows in canonical order; memory grows as V^2/8.
+
+    The row of a mask is the union of the stars of its elements, the star of
+    e holding every vertex that contains e. Each star is built once as an
+    int, and each row as one OR: the row of m without its lowest element,
+    built before it in ascending mask order, with that element's star.
+    Clearing the self bits replaces each row in its list slot, so one copy
+    of the rows is live at any time.
+    """
     check_ground_size(n, caps.count_max_n)
     if n > caps.materialize_max_n:
         v = (1 << n) - 1
@@ -257,21 +294,20 @@ def materialize(n: int, *, caps: Caps = DEFAULT_CAPS) -> Graph:
             f"cap is n <= {caps.materialize_max_n}"
         )
     masks = canonical_masks(n)
-    v = len(masks)
-    nbytes = (v + 7) // 8
-    # star[e] = bit vector of vertices whose subset contains element e
-    stars = [bytearray(nbytes) for _ in range(n)]
+    # stars[e]: bit idx set iff masks[idx] holds element e, read off one
+    # 0/1 byte per vertex, last vertex first
+    stars = [
+        int(bytes([m >> e & 1 for m in reversed(masks)]).translate(_BINARY_DIGITS), 2)
+        for e in range(n)
+    ]
+    # by mask, ascending: m meets what m without its lowest element meets,
+    # plus the star of that element
+    rows = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        rows[m] = rows[m & (m - 1)] | stars[(m & -m).bit_length() - 1]
     for idx, m in enumerate(masks):
-        for e in _bit_positions(m):
-            stars[e][idx >> 3] |= 1 << (idx & 7)
-    star_ints = [int.from_bytes(bytes(s), "little") for s in stars]
-    rows = []
-    for idx, m in enumerate(masks):
-        row = 0
-        for e in _bit_positions(m):
-            row |= star_ints[e]
-        rows.append(row & ~(1 << idx))  # no self-loop
-    return Graph(tuple(rows))
+        rows[m] ^= 1 << idx  # drop the self bit; the old row is freed at once
+    return Graph(tuple(map(rows.__getitem__, masks)))
 
 
 def _meeting_runs(n: int, u: int) -> Iterator[tuple[int, int]]:

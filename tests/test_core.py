@@ -1,6 +1,7 @@
 """Masks, labels, adjacency, materialization, and the extension map."""
 
 import dataclasses
+import hashlib
 from math import comb
 
 import pytest
@@ -20,7 +21,7 @@ from setgraphs import (
     vertex_count,
 )
 from setgraphs.config import DEFAULT_CAPS
-from setgraphs.core import _submasks
+from setgraphs.core import _STRING_WALK_MIN_BITS, _bit_positions, _submasks
 
 
 def test_mask_helpers():
@@ -126,14 +127,35 @@ def test_materialize_n2_path():
     assert edges == {(1, 3), (2, 3)}
 
 
-def test_materialize_n3_matches_pair_scan():
-    g = materialize(3)
-    assert sum(row.bit_count() for row in g.rows) // 2 == 15
-    masks = g.masks
-    for u in range(g.num_vertices):
-        for v in range(g.num_vertices):
-            expected = adjacent(masks[u], masks[v])
-            assert bool(g.rows[u] >> v & 1) == expected
+def test_materialize_matches_pair_scan():
+    assert sum(row.bit_count() for row in materialize(3).rows) // 2 == 15
+    for n in range(1, 9):
+        g = materialize(n)
+        masks = g.masks
+        for u in range(g.num_vertices):
+            for v in range(g.num_vertices):
+                expected = adjacent(masks[u], masks[v])
+                assert bool(g.rows[u] >> v & 1) == expected
+
+
+# sha256 of the rows of materialize(n), each as ceil(V/8) little-endian bytes,
+# taken from the per-(vertex, element) OR build that preceded the one-OR-per-
+# vertex build
+MATERIALIZE_SHA256 = {
+    9: "034019fc933f4f8aae33247102d17caf92607a9d965145ec38ed72a1a008d7e3",
+    10: "81eb76b19aff194e3961db85acca5362264f4cd9e8d993a4810f1eaaa2e5d1f5",
+    11: "b8fc7cce49b40adc5d581d6005554142bd43681498926a3f47484edc3a808179",
+    12: "3e7c2c4d7ea09f90cb7235eb58cfcac620d3f859424f81d38a8d6c1e6c0aa59a",
+    13: "6365ec7802b339e7517923df36d604c8eabe2f3c783c2e61879c1f0459dee124",
+}
+
+
+@pytest.mark.parametrize("n", sorted(MATERIALIZE_SHA256))
+def test_materialize_pinned(n):
+    rows = materialize(n).rows
+    width = (len(rows) + 7) // 8
+    digest = hashlib.sha256(b"".join(row.to_bytes(width, "little") for row in rows))
+    assert digest.hexdigest() == MATERIALIZE_SHA256[n]
 
 
 def test_materialize_rows_symmetric_irreflexive():
@@ -226,3 +248,40 @@ def test_submasks_walks_each_nonempty_submask_once_descending():
     for m in range(1 << 9):
         walked = list(_submasks(m))
         assert walked == sorted((s for s in range(1, m + 1) if s & m == s), reverse=True)
+
+
+def _positions_by_filter(m):
+    return [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+def test_bit_positions_exhaustive_below_2_to_12():
+    for m in range(1 << 12):
+        assert list(_bit_positions(m)) == _positions_by_filter(m)
+
+
+def test_bit_positions_on_both_sides_of_the_walk_switch():
+    # blocks of ones and spread-out bits, starting at and across CPython's
+    # 30-bit digit boundaries, with popcounts just below and above the switch
+    for k in range(_STRING_WALK_MIN_BITS - 3, _STRING_WALK_MIN_BITS + 4):
+        for shift in (0, 1, 29, 30, 31, 59, 8000):
+            for gap in (1, 2, 29, 31, 37):
+                m = sum(1 << (shift + gap * i) for i in range(k))
+                assert list(_bit_positions(m)) == _positions_by_filter(m)
+
+
+def test_bit_positions_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    top = 20000
+    sparse = st.frozensets(st.integers(0, top - 1), max_size=2 * _STRING_WALK_MIN_BITS).map(
+        lambda ps: sum(1 << p for p in ps))
+    blocks = st.tuples(st.integers(0, top - 64), st.integers(0, 64)).map(
+        lambda t: ((1 << t[1]) - 1) << t[0])
+    dense = st.integers(0, (1 << top) - 1)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.one_of(sparse, blocks, dense))
+    def check(m):
+        assert list(_bit_positions(m)) == _positions_by_filter(m)
+
+    check()
