@@ -4,7 +4,9 @@ Every search here is deterministic (fixed pivot and branch order) and takes
 any `core.Graph` with symmetric adjacency rows, so each can be unit-tested on
 textbook graphs (`Graph.complete`, `Graph.path`, `Graph.from_edges`) before
 it adjudicates any claim about subset intersection graphs, where it reads the
-rows of `materialize(n)` as they are.
+rows of `materialize(n)` as they are. Independence and vertex cover are not
+searches of their own: alpha(G) is the clique number of the complement, and
+the minimum vertex cover is V - alpha(G).
 Instances are capped at sizes where bespoke branch-and-bound finishes in
 seconds; there are no heuristic fallbacks.
 """
@@ -12,7 +14,7 @@ seconds; there are no heuristic fallbacks.
 from __future__ import annotations
 
 from .config import CapExceeded
-from .core import Graph, _bit_positions
+from .core import Graph, _bit_positions, _complement_rows
 
 ENUM_TRIANGLES_MAX_VERTICES = 1 << 13
 CLIQUE_MAX_VERTICES = 63
@@ -109,32 +111,11 @@ def chromatic_exact(g: Graph) -> int:
 
 
 def mis_exact(g: Graph) -> int:
-    """Maximum independent set size by branch and bound."""
+    """Maximum independent set size: the clique number of the complement."""
     _check_cap(g, SEARCH_MAX_VERTICES, "mis_exact")
-    rows = g.rows
-    best = 0
-
-    def rec(p: int, size: int) -> None:
-        nonlocal best
-        if size + p.bit_count() <= best:
-            return
-        if not p:
-            best = max(best, size)
-            return
-        v, hits = -1, -1
-        for u in _bit_positions(p):
-            c = (p & rows[u]).bit_count()
-            if c > hits:
-                hits, v = c, u
-        if hits == 0:  # p is already independent
-            best = max(best, size + p.bit_count())
-            return
-        vb = 1 << v
-        rec(p & ~vb & ~rows[v], size + 1)
-        rec(p & ~vb, size)
-
-    rec((1 << g.num_vertices) - 1, 0)
-    return best
+    if not g.num_vertices:
+        return 0
+    return len(max_cliques_exact(Graph(tuple(_complement_rows(g))))[0])
 
 
 def dominating_exact(g: Graph) -> int:
@@ -167,31 +148,7 @@ def dominating_exact(g: Graph) -> int:
 
 
 def vertex_cover_exact(g: Graph) -> int:
-    """Minimum vertex cover size; branches on the endpoints of an uncovered edge.
-
-    The edge is the first uncovered one in (u, v) order, u < v, read off the
-    rows: the lowest vertex u outside the cover with a neighbour above it
-    also outside, and the lowest such neighbour v.
-    """
+    """Minimum vertex cover size: V - alpha(G), since a set covers every edge
+    exactly when the rest is independent (Gallai)."""
     _check_cap(g, SEARCH_MAX_VERTICES, "vertex_cover_exact")
-    rows = g.rows
-    full = (1 << g.num_vertices) - 1
-    best = g.num_vertices
-
-    def rec(chosen: int, size: int) -> None:
-        nonlocal best
-        if size >= best:
-            return
-        free = full & ~chosen
-        for u in _bit_positions(free):
-            above = rows[u] & free >> (u + 1) << (u + 1)
-            if above:
-                break
-        else:
-            best = size
-            return
-        rec(chosen | (1 << u), size + 1)
-        rec(chosen | (above & -above), size + 1)
-
-    rec(0, 0)
-    return best
+    return g.num_vertices - mis_exact(g)

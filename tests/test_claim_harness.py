@@ -67,6 +67,15 @@ def _no_result(fn):
     return lambda *args, **kwargs: None
 
 
+def _doubled_replica(fn):
+    # the new singleton repeats the last replica: the part sizes still add up
+    def perturbed(*args, **kwargs):
+        em = fn(*args, **kwargs)
+        return dataclasses.replace(em, new_singleton=em.replicas[-1])
+
+    return perturbed
+
+
 def _extra_triangle(fn):
     return lambda *args, **kwargs: fn(*args, **kwargs) + [(0, 0, 0)]
 
@@ -88,6 +97,8 @@ ROUTES = [
     ("C8", "invariants.edge_count_closed", _plus_one, {"n": 1, "expected": 0, "actual": 1}),
     ("C8", "invariants.edge_count_brute", _plus_one, {"n": 1, "expected": 0, "actual": 1}),
     ("C9", "verify.vertex_count", _plus_one, {"n": 1, "expected": 5, "actual": 4}),
+    ("C9", "verify.extension_map", _doubled_replica,
+     {"n": 1, "expected": "each mask of G(n+1) once", "actual": {"missing": [2], "surplus": [3]}}),
     ("C10", "parameters.clique_number", _plus_one, {"n": 2, "expected": 3, "actual": 2}),
     ("C11", "holes.triangle_count_claimed", _plus_one, {"n": 2, "expected": 1, "actual": 0}),
     ("C11", "holes.triangle_count_exact", _plus_one, {"n": 2, "expected": 0, "actual": 1}),

@@ -114,7 +114,27 @@ def test_star_domination():
     assert vertex_cover_exact(star) == 1
 
 
+def independence_and_cover_by_subsets(g: Graph) -> tuple[int, int]:
+    """(alpha, tau) straight from the definitions: the largest vertex subset
+    with no edge inside, and the smallest one that meets every edge."""
+    vertices = range(g.num_vertices)
+    edges = [(u, v) for u, v in combinations(vertices, 2) if g.rows[u] >> v & 1]
+    alpha = max(
+        k for k in range(g.num_vertices + 1)
+        if any(not any(u in s and v in s for u, v in edges)
+               for s in map(set, combinations(vertices, k)))
+    )
+    tau = min(
+        k for k in range(g.num_vertices + 1)
+        if any(all(u in s or v in s for u, v in edges)
+               for s in map(set, combinations(vertices, k)))
+    )
+    return alpha, tau
+
+
 def test_gallai_identity():
+    # vertex_cover_exact is V - mis_exact by construction, so both are checked
+    # against subset enumeration, which shares no code with Bron-Kerbosch
     graphs = [
         Graph.complete(6),
         Graph.path(7),
@@ -124,7 +144,23 @@ def test_gallai_identity():
         Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (2, 3), (4, 5)]),
     ]
     for g in graphs:
-        assert mis_exact(g) + vertex_cover_exact(g) == g.num_vertices
+        assert (mis_exact(g), vertex_cover_exact(g)) == independence_and_cover_by_subsets(g)
+
+
+def test_mis_and_cover_match_subset_enumeration_on_random_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        v = data.draw(st.integers(0, 10))
+        pairs = list(combinations(range(v), 2))
+        edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        g = Graph.from_edges(v, edges)
+        assert (mis_exact(g), vertex_cover_exact(g)) == independence_and_cover_by_subsets(g)
+
+    check()
 
 
 def test_vertex_cover_matches_networkx_clique_of_complement():
@@ -153,7 +189,9 @@ def test_caps_raise():
     big = Graph.edgeless(64)
     with pytest.raises(CapExceeded):
         max_cliques_exact(big)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="mis_exact"):
         mis_exact(Graph.edgeless(32))
+    with pytest.raises(CapExceeded, match="vertex_cover_exact"):
+        vertex_cover_exact(Graph.edgeless(32))
     with pytest.raises(CapExceeded):
         chromatic_exact(Graph.edgeless(17))
