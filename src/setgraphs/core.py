@@ -9,12 +9,14 @@ ascending), which fixes the v_{s,i} labels used everywhere.
 
 `Graph` is the one type for a graph held as explicit adjacency bit rows:
 `materialize` returns G(n) as one, and the exact oracles take any Graph.
+`Graph.degrees` checks the rows once per graph, for every kernel that reads
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, count
 from math import comb
 from operator import add
@@ -161,27 +163,6 @@ def _step_positions(m: int) -> Iterator[int]:
         m ^= low
 
 
-def check_rows(rows) -> None:
-    """Raise ValueError on adjacency rows that cannot be a simple undirected graph.
-
-    Three necessary conditions, each O(V) big-int operations: no row holds
-    its own bit; the rows added as integers (bit v of row u weighs 2^v) equal
-    the degrees weighted by 2^u, as they do when each column sum equals its
-    row sum; and exactly half of all set bits lie above the diagonal, as
-    they do when each edge is stored once in each direction. The last one
-    catches directed cycles such as 0 -> 1 -> 2 -> 3 -> 0, whose in-degrees
-    all equal their out-degrees. Asymmetric rows that meet all three pass;
-    only an O(|E|) scan would catch every such case.
-    """
-    if any(row >> u & 1 for u, row in enumerate(rows)):
-        raise ValueError("rows are not irreflexive: a row holds its own bit")
-    if sum(rows) != sum(row.bit_count() << u for u, row in enumerate(rows)):
-        raise ValueError("rows are not symmetric: column sums differ from row sums")
-    upper = sum((row >> u).bit_count() for u, row in enumerate(rows))
-    if 2 * upper != sum(map(int.bit_count, rows)):
-        raise ValueError("rows are not symmetric: bits above the diagonal are not half")
-
-
 def _submasks(m: int) -> Iterator[int]:
     """Non-empty submasks of m, descending from m itself."""
     sub = m
@@ -190,14 +171,22 @@ def _submasks(m: int) -> Iterator[int]:
         sub = (sub - 1) & m
 
 
+# Up to this many vertices `Graph.degrees` checks every set bit against its
+# mirror. That covers the largest oracle graph, G(6) with 63 vertices, at
+# about 1 ms for `Graph.complete(64)` or G(6); G(12) has 16 million set bits,
+# so larger graphs get the O(V) conditions instead.
+_FULL_CHECK_MAX_VERTICES = 64
+
+
 @dataclass(frozen=True)
 class Graph:
     """Explicit graph as adjacency bit rows: bit v of rows[u] set iff u ~ v.
 
     Rows are meant to be symmetric and irreflexive. `materialize` builds
     them so for G(n), in the canonical vertex order; the constructors below
-    build small textbook graphs for the oracle tests. `validate` checks any
-    rows in O(V^2), `check_rows` in O(V) big-int operations.
+    build small textbook graphs for the oracle tests. Nothing is checked at
+    construction: the counting kernels read `degrees`, which checks the rows
+    on first use and keeps the result.
     """
 
     rows: tuple[int, ...]
@@ -239,19 +228,42 @@ class Graph:
     def edgeless(cls, m: int) -> "Graph":
         return cls((0,) * m)
 
-    def validate(self) -> None:
-        """Full symmetry/irreflexivity check; O(V^2), for tests."""
-        for u, row in enumerate(self.rows):
-            if row >> u & 1:
-                raise ValueError(f"self-loop at vertex {u}")
-            if row >> self.num_vertices:
-                raise ValueError(f"row {u} has bits beyond the vertex range")
-            for v in _bit_positions(row):
-                if not self.rows[v] >> u & 1:
-                    raise ValueError(f"asymmetric pair ({u}, {v})")
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """Row popcounts, once the rows are checked to be a simple undirected graph.
 
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.rows) // 2
+        No row may hold its own bit. Up to _FULL_CHECK_MAX_VERTICES vertices,
+        each set bit must also lie within the vertex range and be matched by
+        its mirror, which is exact. Above, two necessary conditions of O(V)
+        big-int operations stand in: the rows added as integers (bit v of
+        row u weighs 2^v) equal the degrees weighted by 2^u, as when each
+        column sum equals its row sum; and half of all set bits lie above
+        the diagonal, which catches directed cycles such as 0 -> 1 -> 2 ->
+        3 -> 0. Asymmetric rows that meet both pass; only an O(|E|) scan
+        catches every such case. Either check makes sum d even, so the
+        Goodman term sum d(V-1-d), which is V * sum d mod 2, is even too.
+
+        Rows that fail raise ValueError. The result is kept in the instance
+        dict, so each Graph is checked once, and equality and hashing still
+        see only the rows.
+        """
+        rows = self.rows
+        v = len(rows)
+        if any(row >> u & 1 for u, row in enumerate(rows)):
+            raise ValueError("rows are not irreflexive: a row holds its own bit")
+        degrees = tuple(map(int.bit_count, rows))
+        if v <= _FULL_CHECK_MAX_VERTICES:
+            for u, row in enumerate(rows):
+                if row >> v:
+                    raise ValueError(f"row {u} has bits beyond the vertex range")
+                for w in _bit_positions(row):
+                    if not rows[w] >> u & 1:
+                        raise ValueError(f"rows are not symmetric: asymmetric pair ({u}, {w})")
+        elif sum(rows) != sum(d << u for u, d in enumerate(degrees)):
+            raise ValueError("rows are not symmetric: column sums differ from row sums")
+        elif 2 * sum((row >> u).bit_count() for u, row in enumerate(rows)) != sum(degrees):
+            raise ValueError("rows are not symmetric: bits above the diagonal are not half")
+        return degrees
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as index pairs (u, v), u < v, ascending."""

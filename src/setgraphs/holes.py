@@ -40,7 +40,6 @@ from .core import (
     _complement_rows,
     canonical_index,
     check_ground_size,
-    check_rows,
 )
 from .invariants import degree_closed, edge_count_closed
 
@@ -68,18 +67,15 @@ def triangle_count_exact(g: Graph, *, caps: Caps = DEFAULT_CAPS) -> int:
     counts twice each vertex triple holding one or two edges. For G(n) the
     complement is the sparse disjointness graph.
 
-    Rows that fail `check_rows`, whose degree term comes out odd, or that
-    give a negative count raise ValueError.
+    Rows that fail the check of `Graph.degrees`, or that give a negative
+    count, raise ValueError.
     """
     if g.n > caps.triangle_exact_max_n:
         raise CapExceeded(
             f"exact triangle count capped at n <= {caps.triangle_exact_max_n}, got n={g.n}"
         )
-    check_rows(g.rows)
     v = g.num_vertices
-    mixed_twice = sum(d * (v - 1 - d) for d in map(int.bit_count, g.rows))
-    if mixed_twice % 2:
-        raise ValueError("rows are not symmetric: the Goodman degree term is odd")
+    mixed_twice = sum(d * (v - 1 - d) for d in g.degrees)
     count = comb(v, 3) - mixed_twice // 2 - _complement_triangles(g)
     if count < 0:
         raise ValueError("rows are not symmetric: negative triangle count")
@@ -168,15 +164,11 @@ def primitive_degrees(g: Graph) -> tuple[int, ...]:
     w < u, is read once: its AND goes to both ends, and each end's degree
     to the other.
 
-    Rows that fail `check_rows`, that give a negative count, or whose
-    doubled sums come out odd raise ValueError. These checks cost O(V)
-    big-int operations; rows asymmetric in some other way are not detected.
+    Rows that fail the check of `Graph.degrees`, that give a negative count,
+    or whose doubled complement incidence comes out odd raise ValueError.
     """
     v = g.num_vertices
-    check_rows(g.rows)
-    degrees = [row.bit_count() for row in g.rows]
-    if sum(degrees) % 2:
-        raise ValueError("rows are not symmetric: odd sum of row popcounts")
+    degrees = g.degrees
     edges = sum(degrees) // 2
     comp = _complement_rows(g)
     far = [0] * v

@@ -9,7 +9,7 @@ ranges; nothing here attempts a proof.
 from __future__ import annotations
 
 from .config import DEFAULT_CAPS, CapExceeded, Caps
-from .verdicts import CONFIRMED, REFUTED, ClaimVerdict
+from .verdicts import ClaimVerdict, _confirmed, _refuted
 
 PRODUCT_CAP_INDEX = 31  # m_31^2 < 2^63, keeps pairwise products desk-checkable
 
@@ -47,20 +47,25 @@ def check_closure(max_index: int, *, caps: Caps = DEFAULT_CAPS) -> ClaimVerdict:
             f"closure check capped at index {PRODUCT_CAP_INDEX}, got {max_index}"
         )
     m = mela(max_index, caps=caps)
+    indices = range(1, max_index + 1)
     notes = []
     degenerate = []
-    for i in range(1, max_index + 1):
-        for j in range(1, max_index + 1):
+    for i in indices:
+        for j in indices:
             mi, mj = m[i - 1], m[j - 1]
             if is_mela(mi + mj):
-                return _refuted("C21", max_index, "sum", i, j, mi + mj)
+                return _refuted("C21", indices, {"kind": "sum", "i": i, "j": j, "value": mi + mj})
             if mi > mj and is_mela(mi - mj):
-                return _refuted("C21", max_index, "difference", i, j, mi - mj)
+                return _refuted(
+                    "C21", indices, {"kind": "difference", "i": i, "j": j, "value": mi - mj}
+                )
             if is_mela(mi * mj):
                 if i == 1 or j == 1:
                     degenerate.append((i, j))
                 else:
-                    return _refuted("C21", max_index, "product", i, j, mi * mj)
+                    return _refuted(
+                        "C21", indices, {"kind": "product", "i": i, "j": j, "value": mi * mj}
+                    )
     if degenerate:
         notes.append(
             "product check including index 1 fails trivially (m_1 = 1 is the "
@@ -68,12 +73,7 @@ def check_closure(max_index: int, *, caps: Caps = DEFAULT_CAPS) -> ClaimVerdict:
             "verified for indices >= 2"
         )
     notes.append("sums and ordered differences verified for all index pairs")
-    return ClaimVerdict(
-        claim_id="C21",
-        n_tested=tuple(range(1, max_index + 1)),
-        status=CONFIRMED,
-        notes=tuple(notes),
-    )
+    return _confirmed("C21", indices, notes)
 
 
 def check_divisibility(max_i: int, max_k: int, *, caps: Caps = DEFAULT_CAPS) -> ClaimVerdict:
@@ -107,25 +107,11 @@ def check_divisibility(max_i: int, max_k: int, *, caps: Caps = DEFAULT_CAPS) -> 
                                   "kind": "quotient is a Mela number"}
             else:
                 continue
-            return ClaimVerdict("C22", tuple(range(2, max_i + 1)), REFUTED, counterexample)
+            return _refuted("C22", range(2, max_i + 1), counterexample)
     notes = [
         f"verified {len(tested)} (i, k) pairs with i, k >= 2",
         "i = 1 is degenerate (m_k / m_1 = m_k is always a Mela number) and is excluded",
     ]
     if skipped:
         notes.append(f"{skipped} pairs with k*i > {caps.mela_max_index} skipped (cap)")
-    return ClaimVerdict(
-        claim_id="C22",
-        n_tested=tuple(range(2, max_i + 1)),
-        status=CONFIRMED,
-        notes=tuple(notes),
-    )
-
-
-def _refuted(claim_id: str, max_index: int, kind: str, i: int, j: int, value: int) -> ClaimVerdict:
-    return ClaimVerdict(
-        claim_id=claim_id,
-        n_tested=tuple(range(1, max_index + 1)),
-        status=REFUTED,
-        counterexample={"kind": kind, "i": i, "j": j, "value": value},
-    )
+    return _confirmed("C22", range(2, max_i + 1), notes)

@@ -1,4 +1,4 @@
-"""Outcome record for a single adjudicated claim."""
+"""Outcome record for a single adjudicated claim, and its three constructors."""
 
 from __future__ import annotations
 
@@ -41,3 +41,15 @@ class ClaimVerdict:
             out["counterexample"] = self.counterexample
         out["notes"] = list(self.notes)
         return out
+
+
+def _skipped(claim_id: str, note: str) -> ClaimVerdict:
+    return ClaimVerdict(claim_id, (), SKIPPED, notes=(note,))
+
+
+def _confirmed(claim_id: str, ns, notes=()) -> ClaimVerdict:
+    return ClaimVerdict(claim_id, tuple(ns), CONFIRMED, notes=tuple(notes))
+
+
+def _refuted(claim_id: str, ns, counterexample: dict, notes=()) -> ClaimVerdict:
+    return ClaimVerdict(claim_id, tuple(ns), REFUTED, counterexample, tuple(notes))

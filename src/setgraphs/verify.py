@@ -41,7 +41,7 @@ from .oracle import (
     mis_exact,
     vertex_cover_exact,
 )
-from .verdicts import CONFIRMED, REFUTED, SKIPPED, ClaimVerdict
+from .verdicts import ClaimVerdict, _confirmed, _refuted, _skipped
 
 
 @dataclass(frozen=True)
@@ -53,18 +53,6 @@ class Claim:
     anchor: str
     min_n: int
     check: Callable[[int, Caps], ClaimVerdict]
-
-
-def _skipped(claim_id: str, note: str) -> ClaimVerdict:
-    return ClaimVerdict(claim_id, (), SKIPPED, notes=(note,))
-
-
-def _confirmed(claim_id: str, ns, notes=()) -> ClaimVerdict:
-    return ClaimVerdict(claim_id, tuple(ns), CONFIRMED, notes=tuple(notes))
-
-
-def _refuted(claim_id: str, ns, counterexample: dict, notes=()) -> ClaimVerdict:
-    return ClaimVerdict(claim_id, tuple(ns), REFUTED, counterexample, tuple(notes))
 
 
 _EMPTY_RANGE = "needs n >= {min_n} within cap {cap}"

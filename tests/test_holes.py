@@ -3,6 +3,7 @@
 import hashlib
 import subprocess
 import sys
+from functools import cached_property
 from itertools import combinations
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from setgraphs import (
     CapExceeded,
     apex_primitive_degree,
+    edge_count_brute,
     edge_count_closed,
     enum_triangles,
     full_mask,
@@ -22,7 +24,7 @@ from setgraphs import (
     triangle_count_exact,
 )
 from setgraphs.config import DEFAULT_CAPS
-from setgraphs.core import Graph, check_rows
+from setgraphs.core import Graph
 from setgraphs.holes import _complement_triangles
 
 # frozen from exhaustive triple enumeration
@@ -146,7 +148,10 @@ def test_symmetry_checks_run_under_optimize_flag():
     # 0 -> {0}, 1 -> {1}: self bits;
     # 0 -> {2, 3}, 1 -> {0}, 2 -> {0}, 3 -> {1}: every in-degree equals its
     # out-degree, but three of the five bits lie below the diagonal;
-    # 0 -> 1 -> 2 -> 3 -> 0: a directed 4-cycle, with one bit of four below
+    # 0 -> 1 -> 2 -> 3 -> 0: a directed 4-cycle, with one bit of four below;
+    # 0 -> {1}, 1 -> {0, 3}, 2 -> {0, 3}, 3 -> {0}: balanced column sums and
+    # bits above the diagonal, so only the full pair scan of Graph.degrees
+    # catches it (the O(V) conditions alone let edge_count_brute count 3)
     code = """
 from setgraphs import Graph, edge_count_brute, primitive_degree
 from setgraphs import primitive_degrees, triangle_count_exact
@@ -157,6 +162,8 @@ cases = [
     ((0b001, 0b010, 0b000), (triangle_count_exact, edge_count_brute, primitive_degrees)),
     ((0b1100, 0b0001, 0b0001, 0b0010), (triangle_count_exact, primitive_degrees)),
     ((0b0010, 0b0100, 0b1000, 0b0001), (triangle_count_exact, edge_count_brute,
+                                        primitive_degrees)),
+    ((0b0010, 0b1001, 0b1001, 0b0001), (triangle_count_exact, edge_count_brute,
                                         primitive_degrees)),
 ]
 for rows, checks in cases:
@@ -185,23 +192,94 @@ def test_primitive_degrees_rejects_rows_with_even_parities(rows):
 
 def test_triangle_count_rejects_rows_by_its_negative_count():
     # every in-degree equals its out-degree, but the bits above the diagonal
-    # are not half of all bits, so check_rows rejects these rows by itself
+    # are not half of all bits, so the row check rejects these rows by itself
     g = Graph((0b1100, 0b0001, 0b0001, 0b0010))
-    for check in (lambda g: check_rows(g.rows), triangle_count_exact, primitive_degrees):
+    for check in (lambda g: g.degrees, triangle_count_exact, primitive_degrees):
         with pytest.raises(ValueError):
             check(g)
 
 
 def test_triangle_count_rejects_rows_that_pass_check_rows():
-    # 0 -> {1}, 1 -> {0, 3}, 2 -> {0, 3}, 3 -> {0}: asymmetric, yet the
-    # weighted column sums and the bits above the diagonal both balance, so
-    # only the negative count gives them away to the exact kernel
-    g = Graph((0b0010, 0b1001, 0b1001, 0b0001))
-    check_rows(g.rows)
+    # 0 -> {1}, 1 -> {0, 3}, 2 -> {0, 3}, 3 -> {0}, padded with 61 isolated
+    # vertices: asymmetric, yet above 64 vertices the row check only weighs
+    # column sums and the bits above the diagonal, and both balance, so only
+    # the negative count gives them away to the exact kernel
+    g = Graph((0b0010, 0b1001, 0b1001, 0b0001) + (0,) * 61)
+    assert g.degrees == (1, 2, 2, 1) + (0,) * 61
     with pytest.raises(ValueError, match="negative triangle count"):
         triangle_count_exact(g)
     with pytest.raises(ValueError):
         primitive_degrees(g)
+
+
+def _is_simple_undirected(rows) -> bool:
+    """Reference for the row check: every vertex pair, both directions."""
+    v = len(rows)
+    return all(
+        row >> v == 0
+        and not row >> u & 1
+        and all(row >> w & 1 == rows[w] >> u & 1 for w in range(v))
+        for u, row in enumerate(rows)
+    )
+
+
+def test_row_check_on_arbitrary_rows_up_to_64_vertices():
+    # symmetric rows with a few single bits flipped: self bits, bits beyond
+    # the vertex range, and one-way edges; the pair check above decides
+    nx = pytest.importorskip("networkx")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        v = data.draw(st.integers(1, 64))
+        vertex = st.integers(0, v - 1)
+        rows = [0] * v
+        for a, b in data.draw(st.lists(st.tuples(vertex, vertex), max_size=3 * v)):
+            if a != b:
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+        for a, b in data.draw(st.lists(st.tuples(vertex, st.integers(0, v + 1)), max_size=2)):
+            rows[a] ^= 1 << b
+        rows = tuple(rows)
+        g = Graph(rows)
+        if not _is_simple_undirected(rows):
+            for kernel in (lambda g: g.degrees, triangle_count_exact, edge_count_brute,
+                           primitive_degrees):
+                with pytest.raises(ValueError):
+                    kernel(g)
+            return
+        graph = nx.Graph()
+        graph.add_nodes_from(range(v))
+        graph.add_edges_from((a, b) for a in range(v) for b in range(a) if rows[a] >> b & 1)
+        assert g.degrees == tuple(d for _, d in sorted(graph.degree))
+        assert edge_count_brute(g) == graph.number_of_edges()
+        assert triangle_count_exact(g) == sum(nx.triangles(graph).values()) // 3
+        assert primitive_degrees(g) == tuple(nx.triangles(graph)[u] for u in range(v))
+        # the cached degrees leave equality and hashing to the rows
+        assert g == Graph(rows) and hash(g) == hash(Graph(rows))
+
+    check()
+
+
+def test_hole_report_checks_its_rows_once(monkeypatch):
+    # the exact count and the per-vertex incidence read the same graph, so
+    # the row check behind Graph.degrees must run once per hole_report
+    checked = []
+    check = Graph.degrees.func
+
+    def counted(self):
+        checked.append(self.num_vertices)
+        return check(self)
+
+    spy = cached_property(counted)
+    spy.__set_name__(Graph, "degrees")
+    monkeypatch.setattr(Graph, "degrees", spy)
+    for n in (5, 8):
+        checked.clear()
+        hole_report(n)
+        assert checked == [(1 << n) - 1]
 
 
 def test_claimed_recursion_pinned():

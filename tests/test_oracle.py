@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from setgraphs import CapExceeded, Graph
+from setgraphs import CapExceeded, Graph, edge_count_brute
 from setgraphs.oracle import (
     chromatic_exact,
     dominating_exact,
@@ -20,14 +20,14 @@ def cycle(m: int) -> Graph:
 
 
 def test_smallgraph_constructors_validate():
-    Graph.complete(5).validate()
-    Graph.path(4).validate()
-    Graph.edgeless(3).validate()
-    cycle(5).validate()
+    assert Graph.complete(5).degrees == (4,) * 5
+    assert Graph.path(4).degrees == (1, 2, 2, 1)
+    assert Graph.edgeless(3).degrees == (0,) * 3
+    assert cycle(5).degrees == (2,) * 5
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 0)])
     with pytest.raises(ValueError):
-        Graph((0b10,)).validate()
+        Graph((0b10,)).degrees
 
 
 def test_enum_triangles():
@@ -97,8 +97,7 @@ def grotzsch() -> Graph:
 
 def test_grotzsch_graph():
     g = grotzsch()
-    g.validate()
-    assert g.edge_count() == 20
+    assert edge_count_brute(g) == 20
     assert enum_triangles(g) == []
     assert len(max_cliques_exact(g)[0]) == 2
     # chromatic number far above the clique bound exercises the search
