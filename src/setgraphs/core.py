@@ -290,12 +290,13 @@ _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 def materialize(n: int, *, caps: Caps = DEFAULT_CAPS) -> Graph:
     """G(n) as explicit adjacency rows in canonical order; memory grows as V^2/8.
 
-    The row of a mask is the union of the stars of its elements, the star of
-    e holding every vertex that contains e. Each star is built once as an
-    int, and each row as one OR: the row of m without its lowest element,
-    built before it in ascending mask order, with that element's star.
-    Clearing the self bits replaces each row in its list slot, so one copy
-    of the rows is live at any time.
+    G(n) is unique and a Graph is frozen, so each one is built once per
+    process, kept with its checked `degrees`, and returned to every later
+    call (see _materialize). The caps are checked on every call, in front of
+    the cache, so a lowered cap still refuses a graph built before. The
+    cache keeps the 16 most recent graphs, one per n. V^2/8 grows about 4x
+    per n, so together they take at most about 4/3 of the largest graph
+    built: a third more than that graph alone.
     """
     check_ground_size(n, caps.count_max_n)
     if n > caps.materialize_max_n:
@@ -305,6 +306,20 @@ def materialize(n: int, *, caps: Caps = DEFAULT_CAPS) -> Graph:
             f"materialize(n={n}) needs about {mib:.0f} MiB of adjacency bits; "
             f"cap is n <= {caps.materialize_max_n}"
         )
+    return _materialize(n)
+
+
+@lru_cache(maxsize=16)
+def _materialize(n: int) -> Graph:
+    """Build G(n); the caps are checked by `materialize`.
+
+    The row of a mask is the union of the stars of its elements, the star of
+    e holding every vertex that contains e. Each star is built once as an
+    int, and each row as one OR: the row of m without its lowest element,
+    built before it in ascending mask order, with that element's star.
+    Clearing the self bits replaces each row in its list slot, so one copy
+    of the rows is live at any time.
+    """
     masks = canonical_masks(n)
     # stars[e]: bit idx set iff masks[idx] holds element e, read off one
     # 0/1 byte per vertex, last vertex first

@@ -51,8 +51,9 @@ def _complement_triangles(g: Graph) -> int:
     edge (u, w), w < u, adds the common complement neighbours below w and
     every complement triangle is counted once, at its two highest vertices.
     comp[w] has at most w bits, so the AND is as short as the lower end.
+    comp[u] is one AND-NOT per row: the low u bits, less g's row.
     """
-    comp = [row & ((1 << u) - 1) for u, row in enumerate(_complement_rows(g))]
+    comp = [((1 << u) - 1) & ~row for u, row in enumerate(g.rows)]
     total = 0
     for cu in comp:
         for w in _bit_positions(cu):

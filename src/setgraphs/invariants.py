@@ -8,6 +8,7 @@ against each other.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 from .config import DEFAULT_CAPS, Caps
@@ -99,13 +100,24 @@ def tightness(n: int, m: int) -> int:
     formula stay independent routes to the same values.
     """
     check_mask(n, m)
-    disjoint = sum(1 for _ in _submasks(full_mask(n) & ~m))
+    disjoint = len(tuple(_submasks(full_mask(n) & ~m)))
     return (1 << n) - 2 - disjoint
 
 
 def tightness_vector(n: int, *, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
-    """Tightness value per vertex in canonical order; equals the degree sequence."""
+    """Tightness value per vertex in canonical order; equals the degree sequence.
+
+    The vector depends on n alone, so each one is computed once per process
+    and kept (see _tightness_vector); the cap is checked on every call, in
+    front of the cache. It holds up to 16 vectors; at 2^n - 1 ints each, they
+    add up to less than twice the largest, far below the rows of G(n).
+    """
     check_ground_size(n, caps.materialize_max_n)
+    return _tightness_vector(n)
+
+
+@lru_cache(maxsize=16)
+def _tightness_vector(n: int) -> tuple[int, ...]:
     return tuple(tightness(n, m) for m in canonical_masks(n))
 
 

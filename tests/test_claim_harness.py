@@ -13,7 +13,7 @@ import importlib
 
 import pytest
 
-from setgraphs import DEFAULT_CAPS, render_report, run_claims, verify
+from setgraphs import DEFAULT_CAPS, core, invariants, render_report, run_claims, verify
 from setgraphs.verdicts import REFUTED
 
 GOLDEN = {
@@ -30,17 +30,34 @@ GOLDEN = {
     (6, ("mis_oracle_max_n", 1)): "153f300563ae072f05d86a7a0d31e0c63d5227a10a26cf4899a58c4316f0dff6",
     (6, ("cover_oracle_max_n", 1)): "d962c6611f30ef8b4d0311e5a407adbac7904c7361f482a15ea04f0c636544c4",
     (6, ("bondage_oracle_max_n", 1)): "cabb05040bf439998f14dd923a0910b21396399d4921e179d532a4e1b54aa0fb",
+    # last, so the generated ids of the entries above stay as they were
+    (12, None): "91b76f1451c11b76833462fd335d09459908ea41a8799210327518656a9f400b",
 }
 
 
-@pytest.mark.parametrize("max_n, override", list(GOLDEN))
-def test_report_bytes_are_pinned(max_n, override):
+def _report_digest(max_n, override):
     caps = DEFAULT_CAPS.with_overrides(**dict([override] if override else []))
     verdicts = run_claims("all", max_n, caps=caps)
     text = render_report(verdicts, "json", max_n=max_n, caps=caps) + render_report(
         verdicts, "md", max_n=max_n, caps=caps
     )
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[max_n, override]
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("max_n, override", list(GOLDEN))
+def test_report_bytes_are_pinned(max_n, override):
+    assert _report_digest(max_n, override) == GOLDEN[max_n, override]
+
+
+def test_warm_caches_change_no_report():
+    # graphs and tightness vectors kept from one run must not reach past the
+    # caps of the next, nor change a verdict or a note: the max_n 9 run keeps
+    # G(9) and the vector of n = 10, beyond the lowered cap of the run after it
+    core._materialize.cache_clear()
+    invariants._tightness_vector.cache_clear()
+    capped = ("materialize_max_n", 8)
+    for key in ((6, capped), (6, None), (9, None), (6, capped), (6, None)):
+        assert _report_digest(*key) == GOLDEN[key]
 
 
 def _plus_one(fn):

@@ -176,6 +176,15 @@ def test_materialize_cap_names_memory():
         materialize(DEFAULT_CAPS.materialize_max_n + 1)
 
 
+def test_materialize_builds_each_graph_once_behind_its_caps():
+    g = materialize(9)
+    assert materialize(9) is g
+    # the cap is checked in front of the cache, so a lowered one still refuses
+    with pytest.raises(CapExceeded):
+        materialize(9, caps=DEFAULT_CAPS.with_overrides(materialize_max_n=8))
+    assert materialize(9) is g
+
+
 def test_cap_overrides_take_only_non_negative_ints():
     assert DEFAULT_CAPS.with_overrides(materialize_max_n=0).materialize_max_n == 0
     for bad in ("13", 13.0, True, False, -1, None):

@@ -23,6 +23,7 @@ from setgraphs import (
     triangle_count_corrected,
     triangle_count_exact,
 )
+from setgraphs import core
 from setgraphs.config import DEFAULT_CAPS
 from setgraphs.core import Graph
 from setgraphs.holes import _complement_triangles
@@ -265,7 +266,9 @@ def test_row_check_on_arbitrary_rows_up_to_64_vertices():
 
 def test_hole_report_checks_its_rows_once(monkeypatch):
     # the exact count and the per-vertex incidence read the same graph, so
-    # the row check behind Graph.degrees must run once per hole_report
+    # the row check behind Graph.degrees must run once per hole_report; the
+    # materialize cache is emptied first, so no graph arrives checked already
+    core._materialize.cache_clear()
     checked = []
     check = Graph.degrees.func
 
@@ -278,6 +281,9 @@ def test_hole_report_checks_its_rows_once(monkeypatch):
     monkeypatch.setattr(Graph, "degrees", spy)
     for n in (5, 8):
         checked.clear()
+        hole_report(n)
+        assert checked == [(1 << n) - 1]
+        # the graph is kept with its checked degrees: a repeat checks nothing
         hole_report(n)
         assert checked == [(1 << n) - 1]
 

@@ -3,6 +3,9 @@
 import pytest
 
 from setgraphs import (
+    DEFAULT_CAPS,
+    CapExceeded,
+    canonical_masks,
     degree_brute,
     degree_closed,
     degree_extremes,
@@ -111,6 +114,18 @@ def test_tightness_matches_definition_level_scan():
     for n in range(1, 10):
         for m in range(1, 1 << n):
             assert tightness(n, m) == sum(1 for o in range(1, 1 << n) if o & m) - 1
+
+
+def test_tightness_vector_is_kept_behind_its_cap():
+    for n in range(1, 9):
+        reference = tuple(
+            sum(1 for o in range(1, 1 << n) if o & m) - 1 for m in canonical_masks(n)
+        )
+        assert tightness_vector(n) == reference
+        assert tightness_vector(n) is tightness_vector(n)
+    tightness_vector(9)
+    with pytest.raises(CapExceeded):
+        tightness_vector(9, caps=DEFAULT_CAPS.with_overrides(materialize_max_n=8))
 
 
 def test_tightness_matches_networkx_degree():
