@@ -124,14 +124,13 @@ def invariant_report(n: int, *, caps: Caps = DEFAULT_CAPS) -> dict:
     report["degree_by_cardinality"] = [
         invariants.degree_closed(n, k) for k in range(1, n + 1)
     ]
-    if n <= min(caps.triangle_exact_max_n, caps.materialize_max_n):
+    exact_max_n = min(caps.triangle_exact_max_n, caps.materialize_max_n)
+    if n <= exact_max_n:
         g = materialize(n, caps=caps)
         report["triangles_exact"] = holes.triangle_count_exact(g, caps=caps)
     else:
         report["triangles_exact"] = None
-        reasons["triangles_exact"] = (
-            f"exact count capped at n <= {min(caps.triangle_exact_max_n, caps.materialize_max_n)}"
-        )
+        reasons["triangles_exact"] = f"exact count capped at n <= {exact_max_n}"
     if n <= caps.corrected_max_n:
         report["triangles_corrected"] = holes.triangle_count_corrected(n, caps=caps)
     else:

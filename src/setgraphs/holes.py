@@ -40,6 +40,7 @@ from .core import (
     _complement_rows,
     canonical_index,
     check_ground_size,
+    materialize,
 )
 from .invariants import degree_closed, edge_count_closed
 
@@ -234,8 +235,6 @@ def hole_report(n: int, *, threads: int = 1, caps: Caps = DEFAULT_CAPS) -> HoleR
     stays because the benchmark's child process (perfbench/child.py) calls
     ``hole_report(n, threads=1)``.
     """
-    from .core import materialize
-
     check_ground_size(n, caps.count_max_n)
     h_exact = None
     histogram = None

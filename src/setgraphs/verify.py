@@ -6,10 +6,11 @@ Most claims are data: a `_swept` entry gives the cap of its range, an
 optional second cut for a costlier route, its notes, and a `_cN` probe that
 compares the two routes at one n. One runner sweeps n over the clamped range,
 refutes at the first disagreement, and records every clamp in the verdict
-notes. C10 and C16 (notes tied to one branch or one n), C19 (a range over m),
-C20 (state carried across n) and C21/C22 (delegated to the Mela module) keep
-a check of their own. Verdicts are a pure function of (selection, max_n,
-caps): no clock, no randomness, no environment.
+notes. Four claims keep a check of their own: C10, whose refutation note is
+true only when its count check fails, not its size check; C19, whose range
+runs over m up to min(16, 2^max_n), not over n; and C21 and C22, whose
+verdicts the Mela module builds. Verdicts are a pure function of (selection,
+max_n, caps): no clock, no randomness, no environment.
 
 A refutation is a finding, not a failure; the runner never raises on one.
 """
@@ -120,8 +121,8 @@ def _c1(n: int, caps: Caps, top: int | None) -> dict | None:
 def _c2(n: int, caps: Caps, top: int | None) -> dict | None:
     g = materialize(n, caps=caps)
     degrees_by_card: dict[int, set[int]] = {}
-    for m, row in zip(g.masks, g.rows):
-        degrees_by_card.setdefault(m.bit_count(), set()).add(row.bit_count())
+    for m, d in zip(g.masks, g.degrees):
+        degrees_by_card.setdefault(m.bit_count(), set()).add(d)
     for k, seen in degrees_by_card.items():
         if len(seen) != 1:
             return {"n": n, "expected": "one degree per cardinality",
@@ -135,7 +136,7 @@ def _c3(n: int, caps: Caps, top: int | None) -> dict | None:
         if not lo <= d <= hi:
             return {"n": n, "expected": [lo, hi], "actual": d}
     if n <= top:
-        degs = [row.bit_count() for row in materialize(n, caps=caps).rows]
+        degs = materialize(n, caps=caps).degrees
         if min(degs) != lo or max(degs) != hi:
             return {"n": n, "expected": [lo, hi], "actual": [min(degs), max(degs)]}
 
@@ -144,6 +145,10 @@ def _c4(n: int, caps: Caps, top: int | None) -> dict | None:
     lo, hi = invariants.degree_extremes(n, caps=caps)
     if hi != 2 * lo:
         return {"n": n, "expected": 2 * lo, "actual": hi}
+    if n <= top:
+        degs = materialize(n, caps=caps).degrees
+        if max(degs) != 2 * min(degs):
+            return {"n": n, "expected": 2 * min(degs), "actual": max(degs)}
 
 
 def _c5(n: int, caps: Caps, top: int | None) -> dict | None:
@@ -155,7 +160,7 @@ def _c5(n: int, caps: Caps, top: int | None) -> dict | None:
         return {"n": n, "expected": 1, "actual": attained}
     if n <= top:
         g = materialize(n, caps=caps)
-        hits = [i for i, row in enumerate(g.rows) if row.bit_count() == hi]
+        hits = [i for i, d in enumerate(g.degrees) if d == hi]
         if hits != [g.num_vertices - 1]:
             return {"n": n, "expected": [g.num_vertices - 1], "actual": hits}
 
@@ -164,6 +169,10 @@ def _c6(n: int, caps: Caps, top: int | None) -> dict | None:
     lo, hi = invariants.degree_extremes(n, caps=caps)
     if lo % 2 != 1 or hi % 2 != 0:
         return {"n": n, "expected": "odd min, even max", "actual": [lo, hi]}
+    if n <= top:
+        degs = materialize(n, caps=caps).degrees
+        if min(degs) % 2 != 1 or max(degs) % 2 != 0:
+            return {"n": n, "expected": "odd min, even max", "actual": [min(degs), max(degs)]}
 
 
 # --- triangle claims ----------------------------------------------------------
@@ -284,22 +293,12 @@ def _c15(n: int, caps: Caps, top: int | None) -> dict | None:
             return {"n": n, "expected": 1, "actual": gamma}
 
 
-def _check_c16(max_n: int, caps: Caps) -> ClaimVerdict:
-    _, ns, notes = _clamp(2, max_n, min(caps.bondage_oracle_max_n, caps.materialize_max_n), caps)
-    if not ns:
-        return _skipped("C16", "needs n >= 2 within the bondage oracle cap")
-    for n in ns:
-        edge = parameters.single_edge_bondage(materialize(n, caps=caps))
-        if edge is None:
-            return _refuted(
-                "C16", range(ns[0], n + 1),
-                {"n": n, "expected": 1, "actual": "no single edge suffices"},
-            )
-        expected_witness = parameters.bondage_number(n, caps=caps)[1]
-        if edge != expected_witness:
-            notes.append(f"n={n}: sweep witness {edge} differs from formula witness")
-    notes.append("per-edge removal sweep with exact domination recount")
-    return _confirmed("C16", ns, notes)
+def _c16(n: int, caps: Caps, top: int | None) -> dict | None:
+    count, _ = parameters.bondage_number(n, caps=caps)
+    edge = parameters.single_edge_bondage(materialize(n, caps=caps))
+    found = 1 if edge is not None else "no single edge suffices"
+    if found != count:
+        return {"n": n, "expected": count, "actual": found}
 
 
 def _c17(n: int, caps: Caps, top: int | None) -> dict | None:
@@ -328,7 +327,7 @@ def _c18(n: int, caps: Caps, top: int | None) -> dict | None:
 
 
 def _check_c19(max_n: int, caps: Caps) -> ClaimVerdict:
-    top = 16 if max_n >= 4 else 1 << max_n
+    top = min(16, 1 << max_n)
     ms = list(range(1, top + 1))
     for m in ms:
         count = len(enum_triangles(Graph.complete(m)))
@@ -337,33 +336,21 @@ def _check_c19(max_n: int, caps: Caps) -> ClaimVerdict:
     return _confirmed("C19", ms, [f"complete graphs on 1..{top} vertices, exhaustive enumeration"])
 
 
-def _check_c20(max_n: int, caps: Caps) -> ClaimVerdict:
-    top = min(max_n, 12, caps.corrected_max_n)
-    exact_top = min(top, 9, caps.triangle_exact_max_n, caps.materialize_max_n)
-    bound, ns, notes = _clamp(1, max_n, top, caps)
-    if not ns:
-        return _skipped("C20", _EMPTY_RANGE.format(min_n=1, cap=bound))
-    values = {}
-    for n in ns:
-        corrected = holes.triangle_count_corrected(n, caps=caps)
-        if n <= exact_top:
-            exact = holes.triangle_count_exact(materialize(n, caps=caps), caps=caps)
-            if exact != corrected:
-                return _refuted("C20", range(ns[0], n + 1), {"n": n, "expected": corrected, "actual": exact})
-            values[n] = exact
-        else:
-            values[n] = corrected
-        bound = comb((1 << n) - 1, 3)
-        if not 0 <= values[n] <= bound:
-            return _refuted("C20", range(ns[0], n + 1), {"n": n, "expected": [0, bound], "actual": values[n]})
-        if n - 1 in values and values[n - 1] > values[n]:
-            return _refuted(
-                "C20", range(ns[0], n + 1),
-                {"n": n, "expected": f">= {values[n - 1]}", "actual": values[n]},
-            )
-    notes.append(f"exact counts for n <= {exact_top}, corrected recursion beyond "
-                 "(the two agree on the overlap)")
-    return _confirmed("C20", ns, notes)
+def _c20(n: int, caps: Caps, top: int | None) -> dict | None:
+    h = holes.triangle_count_corrected(n, caps=caps)
+    if n <= top:
+        exact = holes.triangle_count_exact(materialize(n, caps=caps), caps=caps)
+        if exact != h:
+            return {"n": n, "expected": h, "actual": exact}
+    bound = comb((1 << n) - 1, 3)
+    if not 0 <= h <= bound:
+        return {"n": n, "expected": [0, bound], "actual": h}
+    # the sweep reaches n only after n - 1 passed, so where the exact count
+    # was taken at n - 1 it equalled the corrected one
+    if n > 1:
+        prev = holes.triangle_count_corrected(n - 1, caps=caps)
+        if prev > h:
+            return {"n": n, "expected": f">= {prev}", "actual": h}
 
 
 def _check_c21(max_n: int, caps: Caps) -> ClaimVerdict:
@@ -400,14 +387,14 @@ REGISTRY: tuple[Claim, ...] = (
            )),
     _swept("C4", "the maximum degree is exactly twice the minimum degree",
            "max_deg(G) = 2 * min_deg(G)", 2, _c4,
-           lambda c: 12, skip="needs n >= 2"),
+           lambda c: 12, top=lambda c: min(10, c.materialize_max_n), skip="needs n >= 2"),
     _swept("C5", "exactly one vertex, the full set, attains the maximum degree",
            "unique vertex of maximum degree", 2, _c5,
            lambda c: 12, top=lambda c: min(10, c.materialize_max_n),
            skip="needs n >= 2", notes=("exhaustive degree scan for n <= {top}",)),
     _swept("C6", "the minimum degree is odd and the maximum degree is even",
            "min_deg odd, max_deg even", 2, _c6,
-           lambda c: 12, skip="needs n >= 2"),
+           lambda c: 12, top=lambda c: min(10, c.materialize_max_n), skip="needs n >= 2"),
     _swept("C7", "the full-set vertex lies on |E| - max_deg triangles",
            "dp(v_{n,1}) = |E(G)| - max_deg(G)", 2, _c7,
            lambda c: min(9, c.materialize_max_n, c.triangle_exact_max_n),
@@ -449,8 +436,11 @@ REGISTRY: tuple[Claim, ...] = (
            lambda c: min(12, c.materialize_max_n), top=lambda c: c.domination_oracle_max_n,
            notes=("universal-vertex check for n <= {last}; "
                   "exact minimum dominating set for n <= {top}",)),
-    Claim("C16", "the bondage number is 1",
-          "b(G(n)) = 1", 2, _check_c16),
+    _swept("C16", "the bondage number is 1",
+           "b(G(n)) = 1", 2, _c16,
+           lambda c: min(c.bondage_oracle_max_n, c.materialize_max_n),
+           skip="needs n >= 2 within the bondage oracle cap",
+           notes=("per-edge removal sweep with exact domination recount",)),
     _swept("C17", "the McPherson number is 2^(n-1) - 1",
            "Upsilon(G(n)) = 2^(n-1) - 1", 1, _c17,
            lambda c: min(c.cover_oracle_max_n, c.materialize_max_n),
@@ -462,8 +452,12 @@ REGISTRY: tuple[Claim, ...] = (
            notes=("definition-level tightness sums cross-checked for n <= {top}",)),
     Claim("C19", "a complete graph on m vertices has C(m, 3) triangles",
           "h(K_m) = C(m, 3)", 1, _check_c19),
-    Claim("C20", "0 <= h <= C(|V|, 3), and h never drops when the ground set grows",
-          "0 <= h(G) <= C(|V|, 3); h(H) <= h(G) for subgraphs H", 1, _check_c20),
+    _swept("C20", "0 <= h <= C(|V|, 3), and h never drops when the ground set grows",
+           "0 <= h(G) <= C(|V|, 3); h(H) <= h(G) for subgraphs H", 1, _c20,
+           lambda c: min(12, c.corrected_max_n),
+           top=lambda c: min(9, c.corrected_max_n, c.triangle_exact_max_n, c.materialize_max_n),
+           notes=("exact counts for n <= {top}, corrected recursion beyond "
+                  "(the two agree on the overlap)",)),
     Claim("C21", "sums, products, and ordered differences of Mela numbers are never Mela",
           "m_i + m_j, m_i * m_j, m_i - m_j not in M", 1, _check_c21),
     Claim("C22", "m_i divides m_{ki} and the quotient is never a Mela number",

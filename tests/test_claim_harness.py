@@ -10,6 +10,8 @@ explicit-graph route of the claim still run through different code.
 import dataclasses
 import hashlib
 import importlib
+import subprocess
+import sys
 
 import pytest
 
@@ -47,6 +49,20 @@ def _report_digest(max_n, override):
 @pytest.mark.parametrize("max_n, override", list(GOLDEN))
 def test_report_bytes_are_pinned(max_n, override):
     assert _report_digest(max_n, override) == GOLDEN[max_n, override]
+
+
+def test_report_bytes_hold_under_optimize_flag():
+    # every check must decide by itself, not through an assert that -O drops
+    code = """
+import hashlib
+from setgraphs import render_report, run_claims
+verdicts = run_claims("all", 6)
+text = render_report(verdicts, "json", max_n=6) + render_report(verdicts, "md", max_n=6)
+print(hashlib.sha256(text.encode()).hexdigest())
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == GOLDEN[6, None]
 
 
 def test_warm_caches_change_no_report():
@@ -97,6 +113,15 @@ def _extra_triangle(fn):
     return lambda *args, **kwargs: fn(*args, **kwargs) + [(0, 0, 0)]
 
 
+def _apex_edge_dropped(fn):
+    # G(n) without the edge from the first vertex to the full-set vertex
+    def perturbed(*args, **kwargs):
+        g = fn(*args, **kwargs)
+        return g.without_edge(0, g.num_vertices - 1)
+
+    return perturbed
+
+
 # (claim, module.function as the claim's code looks it up, perturbation,
 #  the counterexample the claim must report at its first size)
 ROUTES = [
@@ -105,9 +130,12 @@ ROUTES = [
     ("C3", "invariants.degree_extremes", _last_plus_one,
      {"n": 1, "expected": [0, 1], "actual": [0, 0]}),
     ("C4", "invariants.degree_extremes", _last_plus_one, {"n": 2, "expected": 2, "actual": 3}),
+    ("C4", "verify.materialize", _apex_edge_dropped, {"n": 2, "expected": 0, "actual": 1}),
     ("C5", "invariants.degree_closed", _plus_one, {"n": 2, "expected": 1, "actual": 2}),
     ("C6", "invariants.degree_extremes", _first_plus_one,
      {"n": 2, "expected": "odd min, even max", "actual": [2, 2]}),
+    ("C6", "verify.materialize", _apex_edge_dropped,
+     {"n": 2, "expected": "odd min, even max", "actual": [0, 1]}),
     ("C7", "holes.apex_primitive_degree", _plus_one, {"n": 2, "expected": 1, "actual": 0}),
     ("C7", "holes.primitive_degree", _plus_one, {"n": 2, "expected": 0, "actual": 1}),
     ("C8", "invariants.edge_count_recursive", _plus_one, {"n": 1, "expected": 1, "actual": 0}),
@@ -129,6 +157,7 @@ ROUTES = [
     ("C15", "verify.dominating_exact", _plus_one, {"n": 1, "expected": 1, "actual": 2}),
     ("C16", "parameters.single_edge_bondage", _no_result,
      {"n": 2, "expected": 1, "actual": "no single edge suffices"}),
+    ("C16", "parameters.bondage_number", _first_plus_one, {"n": 2, "expected": 2, "actual": 1}),
     ("C17", "parameters.mcpherson_number", _plus_one, {"n": 1, "expected": 1, "actual": 0}),
     ("C17", "verify.vertex_cover_exact", _plus_one, {"n": 1, "expected": 0, "actual": 1}),
     ("C17", "parameters.simulate_explosions", _plus_one,
