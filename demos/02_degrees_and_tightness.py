@@ -1,13 +1,13 @@
 """Three independent degree routes, the edge-count recursion, and tightness.
 
 Every vertex of cardinality k has degree 2^n - 2^(n-k) - 1. The closed form,
-the inclusion-exclusion sum over element stars, and a popcount of the
-explicit adjacency row must agree vertex by vertex, and the tightness number
-of a subset (how many other subsets it meets) is just its degree again.
+the inclusion-exclusion sum over element stars, and the popcount of the
+explicit adjacency row (`Graph.degrees`, which checks the rows first) must
+agree vertex by vertex, and the tightness number of a subset (how many other
+subsets it meets) is just its degree again.
 """
 
 from setgraphs import (
-    degree_brute,
     degree_closed,
     degree_inclusion_exclusion,
     edge_count_closed,
@@ -24,10 +24,9 @@ g = materialize(N)
 
 print(f"degrees in G({N}) along three routes:")
 print(f"{'subset':<16}{'closed':>8}{'incl-excl':>11}{'row scan':>10}")
-for m in g.masks:
+for m, brute in zip(g.masks, g.degrees):
     closed = degree_closed(N, m.bit_count())
     ie = degree_inclusion_exclusion(N, m)
-    brute = degree_brute(g, m)
     assert closed == ie == brute
     print(f"{subset_str(m):<16}{closed:>8}{ie:>11}{brute:>10}")
 

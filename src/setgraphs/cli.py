@@ -2,7 +2,7 @@
 
 Usage:
     setgraph build N --format {dot,json,csv} [--out PATH]
-    setgraph invariants N [--threads K] [--out PATH]
+    setgraph invariants N [--table {degrees,tightness}] [--threads K] [--out PATH]
     setgraph sequence {vertices,edges,holes,degree_min,degree_max,mela} --max-n K
     setgraph verify [--claims all|C8,C11] [--max-n N] [--format {json,md}]
                     [--out PATH] [--threads K]
@@ -160,19 +160,18 @@ def invariant_report(n: int, *, caps: Caps = DEFAULT_CAPS) -> dict:
     return report
 
 
-def render_value_table(n: int, kind: str, *, caps: Caps = DEFAULT_CAPS) -> str:
+def render_value_table(n: int, *, caps: Caps = DEFAULT_CAPS) -> str:
     """Per-vertex CSV rows 'label,mask,value' in canonical order.
 
-    kind 'degrees' or 'tightness'; the two coincide vertex by vertex (a
-    subset meets exactly as many other subsets as its vertex has neighbors),
-    so both tables come from the same closed form.
+    The table behind both `--table degrees` and `--table tightness`: the two
+    coincide vertex by vertex (a subset meets exactly as many other subsets
+    as its vertex has neighbors), so both come from the same closed form.
     """
-    if kind not in ("degrees", "tightness"):
-        raise ValueError(f"unknown table kind {kind!r}")
     if n > caps.materialize_max_n:
         raise CapExceeded(
             f"per-vertex table capped at n <= {caps.materialize_max_n}, got {n}"
         )
+    check_ground_size(n, caps.count_max_n)
     lines = []
     for m in canonical_masks(n):
         value = invariants.degree_closed(n, m.bit_count())
@@ -307,10 +306,10 @@ def main(argv=None) -> int:
             with _output(out) as fh:
                 exporters[fmt](args.n, fh, caps=caps)
         elif args.command == "invariants":
+            _int_setting(args, config, "threads", 1, minimum=1)  # validated, then ignored
             if args.table:
-                _emit(render_value_table(args.n, args.table, caps=caps), out)
+                _emit(render_value_table(args.n, caps=caps), out)
             else:
-                _int_setting(args, config, "threads", 1, minimum=1)  # validated, then ignored
                 report = invariant_report(args.n, caps=caps)
                 _emit(json.dumps(report, indent=2) + "\n", out)
         elif args.command == "sequence":

@@ -39,13 +39,9 @@ def check_ground_size(n: int, cap: int) -> None:
         raise CapExceeded(f"ground-set size {n} exceeds cap {cap}")
 
 
-def is_valid_mask(n: int, m: int) -> bool:
-    """True iff m encodes a non-empty subset of an n-element ground set."""
-    return isinstance(m, int) and 0 < m < (1 << n)
-
-
 def check_mask(n: int, m: int) -> None:
-    if not is_valid_mask(n, m):
+    """Raise ValueError unless m encodes a non-empty subset of an n-element ground set."""
+    if not (isinstance(m, int) and 0 < m < (1 << n)):
         raise ValueError(f"invalid subset mask {m!r} for ground-set size {n}")
 
 
@@ -277,11 +273,10 @@ class Graph:
         rows[v] &= ~(1 << u)
         return Graph(tuple(rows))
 
-
-def _complement_rows(g: Graph) -> list[int]:
-    """Complement rows: bit w of row u is set iff w != u and u, w are not adjacent."""
-    full = (1 << g.num_vertices) - 1
-    return [full & ~row & ~(1 << u) for u, row in enumerate(g.rows)]
+    def complement(self) -> "Graph":
+        """The complement on the same vertices: u ~ w iff w != u and u, w are not adjacent."""
+        full = (1 << len(self.rows)) - 1
+        return Graph(tuple(full & ~row & ~(1 << u) for u, row in enumerate(self.rows)))
 
 
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -376,13 +371,6 @@ class ExtensionMap:
     erstwhile: tuple[int, ...] = field(repr=False)
     replicas: tuple[int, ...] = field(repr=False)
     new_singleton: int = 0
-
-    def classify(self, m: int) -> str:
-        """'erstwhile', 'replica', or 'new' for a mask of G(n+1)."""
-        check_mask(self.n + 1, m)
-        if m == self.new_singleton:
-            return "new"
-        return "replica" if m & self.new_singleton else "erstwhile"
 
 
 def extension_map(n: int, *, caps: Caps = DEFAULT_CAPS) -> ExtensionMap:

@@ -24,8 +24,9 @@ Per-vertex incidence has two routes. primitive_degrees runs the per-vertex
 identity t(v) = |E| - d(v) - sum_{w in comp(v)} d(w) + C(V-1-d(v), 2) - t_c(v)
 on its own scan of the complement rows (t_c(v): complement triangles at v),
 reading each complement edge once and crediting both of its ends. The scalar
-primitive_degree intersects v's row with each neighbour's row; it shares no
-code with the identity, so it stays the reference for the tests and claim C7.
+primitive_degree intersects v's row with each neighbour's row; beyond the row
+check of `Graph.degrees` it shares no code with the identity, so it stays the
+reference for the tests and claim C7.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .config import DEFAULT_CAPS, CapExceeded, Caps
 from .core import (
     Graph,
     _bit_positions,
-    _complement_rows,
     canonical_index,
     check_ground_size,
     materialize,
@@ -145,7 +145,12 @@ def triangle_count_corrected(n: int, *, caps: Caps = DEFAULT_CAPS) -> int:
 
 
 def primitive_degree(g: Graph, m: int) -> int:
-    """Number of triangles containing the vertex of mask m."""
+    """Number of triangles containing the vertex of mask m.
+
+    Rows that fail the check of `Graph.degrees`, or whose doubled incidence
+    comes out odd, raise ValueError.
+    """
+    g.degrees  # checks the rows, once per graph
     v = canonical_index(g.n, m)
     row_v = g.rows[v]
     twice = sum((row_v & g.rows[u]).bit_count() for u in _bit_positions(row_v))
@@ -172,7 +177,7 @@ def primitive_degrees(g: Graph) -> tuple[int, ...]:
     v = g.num_vertices
     degrees = g.degrees
     edges = sum(degrees) // 2
-    comp = _complement_rows(g)
+    comp = g.complement().rows
     far = [0] * v
     shared = [0] * v
     for u, cu in enumerate(comp):

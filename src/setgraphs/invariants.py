@@ -15,7 +15,6 @@ from .config import DEFAULT_CAPS, Caps
 from .core import (
     Graph,
     _submasks,
-    canonical_index,
     canonical_masks,
     check_ground_size,
     check_mask,
@@ -47,11 +46,6 @@ def degree_inclusion_exclusion(n: int, m: int) -> int:
         j = sub.bit_count()
         total += (-1) ** (j - 1) * (1 << (n - j))
     return total - 1
-
-
-def degree_brute(g: Graph, m: int) -> int:
-    """Degree read off the explicit adjacency row of mask m."""
-    return g.rows[canonical_index(g.n, m)].bit_count()
 
 
 def degree_extremes(n: int, *, caps: Caps = DEFAULT_CAPS) -> tuple[int, int]:

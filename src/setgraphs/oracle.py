@@ -14,7 +14,7 @@ seconds; there are no heuristic fallbacks.
 from __future__ import annotations
 
 from .config import CapExceeded
-from .core import Graph, _bit_positions, _complement_rows
+from .core import Graph, _bit_positions
 
 ENUM_TRIANGLES_MAX_VERTICES = 1 << 13
 CLIQUE_MAX_VERTICES = 63
@@ -115,7 +115,7 @@ def mis_exact(g: Graph) -> int:
     _check_cap(g, SEARCH_MAX_VERTICES, "mis_exact")
     if not g.num_vertices:
         return 0
-    return len(max_cliques_exact(Graph(tuple(_complement_rows(g))))[0])
+    return len(max_cliques_exact(g.complement())[0])
 
 
 def dominating_exact(g: Graph) -> int:

@@ -14,7 +14,6 @@ from .config import DEFAULT_CAPS, CapExceeded, Caps
 from .core import (
     Graph,
     _bit_positions,
-    _complement_rows,
     adjacent,
     canonical_masks,
     check_ground_size,
@@ -167,7 +166,7 @@ def mcpherson_number(n: int, *, caps: Caps = DEFAULT_CAPS) -> int:
 
 def disjointness_graph(n: int, *, caps: Caps = DEFAULT_CAPS) -> Graph:
     """Complement of G(n) on the same canonical vertices: edges join disjoint subsets."""
-    return Graph(tuple(_complement_rows(materialize(n, caps=caps))))
+    return materialize(n, caps=caps).complement()
 
 
 def simulate_explosions(g: Graph, order) -> int | None:

@@ -113,6 +113,26 @@ def _extra_triangle(fn):
     return lambda *args, **kwargs: fn(*args, **kwargs) + [(0, 0, 0)]
 
 
+def _last_dropped(fn):
+    return lambda *args, **kwargs: fn(*args, **kwargs)[:-1]
+
+
+def _witness_repeated(fn):
+    def perturbed(*args, **kwargs):
+        size, witness = fn(*args, **kwargs)
+        return size, (*witness, witness[0])
+
+    return perturbed
+
+
+def _replaced_at(n0, value):
+    # the value at n = n0 only, so the sweep passes every size below it
+    def perturb(fn):
+        return lambda n, **kwargs: value if n == n0 else fn(n, **kwargs)
+
+    return perturb
+
+
 def _apex_edge_dropped(fn):
     # G(n) without the edge from the first vertex to the full-set vertex
     def perturbed(*args, **kwargs):
@@ -126,6 +146,7 @@ def _apex_edge_dropped(fn):
 #  the counterexample the claim must report at its first size)
 ROUTES = [
     ("C1", "verify.vertex_count", _plus_one, {"n": 1, "expected": 1, "actual": 2}),
+    ("C1", "verify.canonical_masks", _last_dropped, {"n": 1, "expected": 1, "actual": 0}),
     ("C3", "invariants.degree_closed", _plus_one, {"n": 1, "expected": [0, 0], "actual": 1}),
     ("C3", "invariants.degree_extremes", _last_plus_one,
      {"n": 1, "expected": [0, 1], "actual": [0, 0]}),
@@ -154,6 +175,8 @@ ROUTES = [
     ("C14", "verify.mis_exact", _plus_one, {"n": 1, "expected": 1, "actual": 2}),
     ("C14", "parameters.independence_number", _first_plus_one,
      {"n": 1, "expected": 2, "actual": 1}),
+    ("C14", "parameters.independence_number", _witness_repeated,
+     {"n": 1, "expected": "independent witness", "actual": [1, 1]}),
     ("C15", "verify.dominating_exact", _plus_one, {"n": 1, "expected": 1, "actual": 2}),
     ("C16", "parameters.single_edge_bondage", _no_result,
      {"n": 2, "expected": 1, "actual": "no single edge suffices"}),
@@ -164,6 +187,8 @@ ROUTES = [
      {"n": 1, "expected": 0, "actual": 1, "witness": {"explosion_order": []}}),
     ("C18", "invariants.tightness_checksum", _plus_one, {"n": 1, "expected": 0, "actual": 1}),
     ("C18", "invariants.edge_count_closed", _plus_one, {"n": 1, "expected": 2, "actual": 0}),
+    ("C18", "invariants.tightness_vector", _first_plus_one,
+     {"n": 1, "expected": 0, "actual": 1}),
     ("C19", "verify.enum_triangles", _extra_triangle, {"n": 1, "expected": 0, "actual": 1}),
     ("C20", "holes.triangle_count_corrected", _plus_one, {"n": 1, "expected": 1, "actual": 0}),
     ("C20", "holes.triangle_count_exact", _plus_one, {"n": 1, "expected": 0, "actual": 1}),
@@ -184,6 +209,43 @@ def test_one_perturbed_route_refutes_at_first_size(
     (verdict,) = run_claims(claim_id, 6)
     assert verdict.status == REFUTED
     assert verdict.n_tested == (counterexample["n"],)
+    assert verdict.counterexample == counterexample
+
+
+# (claim, perturbed function, perturbation, cap override, sizes swept up to
+#  the refutation, counterexample): routes that pass the first size and
+#  refute at a later one; with triangle_exact_max_n at 0, C20 compares no
+#  exact count, so its bound and monotonicity checks decide alone
+LATER_ROUTES = [
+    ("C2", "verify.materialize", _apex_edge_dropped, None, (1, 2),
+     {"n": 2, "expected": "one degree per cardinality",
+      "actual": {"cardinality": 1, "degrees": [0, 1]}}),
+    ("C5", "verify.materialize", _apex_edge_dropped, None, (2,),
+     {"n": 2, "expected": [2], "actual": []}),
+    ("C15", "verify.materialize", _apex_edge_dropped, None, (1, 2),
+     {"n": 2, "expected": 2, "actual": 1}),
+    ("C20", "holes.triangle_count_corrected", _replaced_at(2, 2),
+     ("triangle_exact_max_n", 0), (1, 2), {"n": 2, "expected": [0, 1], "actual": 2}),
+    ("C20", "holes.triangle_count_corrected", _replaced_at(4, 0),
+     ("triangle_exact_max_n", 0), (1, 2, 3, 4), {"n": 4, "expected": ">= 13", "actual": 0}),
+]
+
+
+@pytest.mark.parametrize(
+    "claim_id, target, perturb, override, n_tested, counterexample",
+    LATER_ROUTES,
+    ids=[f"{row[0]}-{row[1]}-n{row[5]['n']}" for row in LATER_ROUTES],
+)
+def test_one_perturbed_route_refutes_at_its_size(
+    monkeypatch, claim_id, target, perturb, override, n_tested, counterexample
+):
+    module_name, name = target.split(".")
+    module = importlib.import_module(f"setgraphs.{module_name}")
+    monkeypatch.setattr(module, name, perturb(getattr(module, name)))
+    caps = DEFAULT_CAPS.with_overrides(**dict([override] if override else []))
+    (verdict,) = run_claims(claim_id, 6, caps=caps)
+    assert verdict.status == REFUTED
+    assert verdict.n_tested == n_tested
     assert verdict.counterexample == counterexample
 
 

@@ -175,13 +175,31 @@ def test_value_table_export(capsys):
     rows = [line.split(",") for line in out.splitlines()]
     assert rows[0] == ["v_1_1", "1", "3"]
     assert rows[-1] == ["v_3_1", "7", "6"]
-    # tightness table carries the same values, vertex by vertex
-    table = render_value_table(4, "tightness")
+    # the table carries the tightness values too, vertex by vertex
+    table = render_value_table(4)
     for line in table.splitlines():
         _, mask, value = line.split(",")
         assert int(value) == tightness(4, int(mask))
-    with pytest.raises(ValueError):
-        render_value_table(3, "girth")
+    assert main(["invariants", "4", "--table", "tightness"]) == 0
+    assert capsys.readouterr().out == table
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", "3", "--table", "girth"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_value_table_refuses_what_invariants_refuses(n, capsys):
+    assert run_cli("invariants", n) == 2
+    plain = capsys.readouterr()
+    assert plain.err == f"setgraph: ground-set size must be a positive integer, got {n}\n"
+    for table in ("degrees", "tightness"):
+        assert run_cli("invariants", n, "--table", table) == 2
+        assert capsys.readouterr() == plain
+    # above the cap the table keeps its own refusal
+    assert run_cli("invariants", "15", "--table", "degrees") == 3
+    assert capsys.readouterr().err == (
+        "setgraph: resource guard: per-vertex table capped at n <= 14, got 15\n"
+    )
 
 
 def test_invariants_n3():
@@ -329,7 +347,10 @@ def test_threads_is_validated_then_ignored(tmp_path, capsys):
     config.write_text(json.dumps({"threads": 0}))
     for argv in (("--config", str(config), "invariants", "3"),
                  ("--config", str(config), "verify", "--claims", "C1"),
+                 ("--config", str(config), "invariants", "3", "--table", "degrees"),
                  ("invariants", "3", "--threads", "0"),
+                 ("invariants", "3", "--table", "degrees", "--threads", "0"),
+                 ("invariants", "3", "--table", "tightness", "--threads", "-5"),
                  ("verify", "--claims", "C1", "--threads", "0")):
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err
@@ -395,6 +416,7 @@ def test_verify_runs_under_any_lowered_cap(tmp_path, cap, value, max_n):
     ("max_index", ("mela",)),
     ("threads", ("verify", "--claims", "C1")),
     ("threads", ("invariants", "3")),
+    ("threads", ("invariants", "3", "--table", "degrees")),
 ])
 @pytest.mark.parametrize("bad", [True, 2.9, "3", None, -1])
 def test_config_setting_must_be_an_int(tmp_path, capsys, key, argv, bad):

@@ -8,6 +8,7 @@ import pytest
 
 from setgraphs import (
     CapExceeded,
+    Graph,
     VertexLabel,
     adjacent,
     canonical_index,
@@ -171,6 +172,39 @@ def test_materialize_rows_symmetric_irreflexive():
                 assert g.rows[v] >> u & 1
 
 
+@pytest.mark.parametrize("rows, message", [
+    ((0b10, 0, 0) + (0,) * 67, "column sums differ from row sums"),
+    ((0b0010, 0b0100, 0b1000, 0b0001) + (0,) * 66, "bits above the diagonal are not half"),
+], ids=["one-arc", "directed-4-cycle"])
+def test_degrees_above_64_vertices_checks_its_o_v_conditions(rows, message):
+    # 70 rows: past the full pair scan, so each O(V) condition must raise alone
+    with pytest.raises(ValueError, match=message):
+        Graph(rows).degrees
+
+
+def test_complement_is_an_involution_equal_to_networkx():
+    for m in range(6):
+        assert Graph.complete(m).complement() == Graph.edgeless(m)
+        assert Graph.edgeless(m).complement() == Graph.complete(m)
+    nx = pytest.importorskip("networkx")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        st.integers(0, 48), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1)
+    )
+    def check(v, density, seed):
+        graph = nx.gnp_random_graph(v, density, seed=seed)
+        g = Graph.from_edges(v, graph.edges)
+        comp = g.complement()
+        assert comp.complement() == g
+        assert comp == Graph.from_edges(v, nx.complement(graph).edges)
+        assert comp.degrees == tuple(v - 1 - d for d in g.degrees)
+
+    check()
+
+
 def test_materialize_cap_names_memory():
     with pytest.raises(CapExceeded, match="MiB"):
         materialize(DEFAULT_CAPS.materialize_max_n + 1)
@@ -230,9 +264,12 @@ def test_extension_map_counts_and_examples():
         em = extension_map(n)
         assert len(em.erstwhile) == 2**n - 1
         assert len(em.replicas) == 2**n - 1
-        assert em.classify(em.new_singleton) == "new"
-        assert em.classify(em.erstwhile[0]) == "erstwhile"
-        assert em.classify(em.replicas[0]) == "replica"
+        # the three parts partition the masks of G(n+1) by the new element
+        assert not any(m & em.new_singleton for m in em.erstwhile)
+        assert all(m & em.new_singleton for m in em.replicas)
+        assert sorted((*em.erstwhile, *em.replicas, em.new_singleton)) == list(
+            range(1, 1 << (n + 1))
+        )
 
 
 def test_extension_parallel_linkage_and_replica_clique():

@@ -152,7 +152,9 @@ def test_symmetry_checks_run_under_optimize_flag():
     # 0 -> 1 -> 2 -> 3 -> 0: a directed 4-cycle, with one bit of four below;
     # 0 -> {1}, 1 -> {0, 3}, 2 -> {0, 3}, 3 -> {0}: balanced column sums and
     # bits above the diagonal, so only the full pair scan of Graph.degrees
-    # catches it (the O(V) conditions alone let edge_count_brute count 3)
+    # catches it (the O(V) conditions alone let edge_count_brute count 3);
+    # G(3) without the arcs 0 -> 3 and 0 -> 4: primitive_degree read 8
+    # triangles at the full set before it checked the rows
     code = """
 from setgraphs import Graph, edge_count_brute, primitive_degree
 from setgraphs import primitive_degrees, triangle_count_exact
@@ -166,6 +168,8 @@ cases = [
                                         primitive_degrees)),
     ((0b0010, 0b1001, 0b1001, 0b0001), (triangle_count_exact, edge_count_brute,
                                         primitive_degrees)),
+    ((64, 104, 112, 115, 109, 94, 63), (triangle_count_exact, edge_count_brute,
+                                        primitive_degrees, lambda g: primitive_degree(g, 0b111))),
 ]
 for rows, checks in cases:
     for check in checks:

@@ -6,7 +6,6 @@ from setgraphs import (
     DEFAULT_CAPS,
     CapExceeded,
     canonical_masks,
-    degree_brute,
     degree_closed,
     degree_extremes,
     degree_inclusion_exclusion,
@@ -44,19 +43,20 @@ def test_degree_inclusion_exclusion_examples():
 
 
 def test_degree_brute_examples():
-    g3 = materialize(3)
-    assert degree_brute(g3, 0b111) == 6
-    assert degree_brute(g3, 0b010) == 3  # {a2}: neighbors {a1,a2}, {a2,a3}, full
-    assert degree_brute(materialize(2), 0b01) == 1
+    # brute-force degrees: the checked row popcounts of Graph.degrees, by mask
+    g3, g2 = materialize(3), materialize(2)
+    assert g3.degrees == (3, 3, 3, 5, 5, 5, 6)  # masks 1, 2, 4, 3, 5, 6, 7
+    assert dict(zip(g3.masks, g3.degrees))[0b010] == 3  # {a2}: {a1,a2}, {a2,a3}, full
+    assert dict(zip(g2.masks, g2.degrees))[0b01] == 1
 
 
 def test_three_degree_routes_agree():
     for n in range(1, 9):
         g = materialize(n)
-        for m in g.masks:
+        for m, d in zip(g.masks, g.degrees):
             closed = degree_closed(n, m.bit_count())
             assert degree_inclusion_exclusion(n, m) == closed
-            assert degree_brute(g, m) == closed
+            assert d == closed
 
 
 def test_degree_extremes():
@@ -105,8 +105,8 @@ def test_tightness_examples():
 def test_tightness_equals_degree():
     for n in range(1, 8):
         g = materialize(n)
-        for m in g.masks:
-            assert tightness(n, m) == degree_brute(g, m)
+        for m, d in zip(g.masks, g.degrees):
+            assert tightness(n, m) == d
 
 
 def test_tightness_matches_definition_level_scan():

@@ -1,5 +1,7 @@
 """Mela sequence, membership, and the two finite-range checks."""
 
+import importlib
+
 import pytest
 
 from setgraphs import (
@@ -10,7 +12,9 @@ from setgraphs import (
     mela,
     vertex_count,
 )
-from setgraphs.verdicts import CONFIRMED
+from setgraphs.verdicts import CONFIRMED, REFUTED
+
+MELA = importlib.import_module("setgraphs.mela")
 
 
 def test_sequence_prefix():
@@ -90,3 +94,43 @@ def test_divisibility_is_exhaustive_over_reachable_pairs():
         if i * k <= 62 and values[k * i - 1] % values[i - 1] == 0
     )
     assert f"verified {pairs} (i, k) pairs" in verdict.notes[0]
+
+
+# membership test read as "x == target": the first (i, j) pair whose sum,
+# difference or non-degenerate product equals target refutes the closure
+# check (12 = m_4 - m_2 is no sum or product; 9 = m_2 * m_2 is neither a sum
+# nor a difference)
+@pytest.mark.parametrize("target, counterexample", [
+    (2, {"kind": "sum", "i": 1, "j": 1, "value": 2}),
+    (12, {"kind": "difference", "i": 4, "j": 2, "value": 12}),
+    (9, {"kind": "product", "i": 2, "j": 2, "value": 9}),
+])
+def test_closure_refutes_on_each_kind(monkeypatch, target, counterexample):
+    monkeypatch.setattr(MELA, "is_mela", lambda x: x == target)
+    verdict = check_closure(5)
+    assert verdict.status == REFUTED
+    assert verdict.n_tested == (1, 2, 3, 4, 5)
+    assert verdict.counterexample == counterexample
+
+
+def test_divisibility_refutes_on_each_kind(monkeypatch):
+    monkeypatch.setattr(MELA, "is_mela", lambda x: x == 5)  # m_4 / m_2
+    verdict = check_divisibility(3, 3)
+    assert verdict.status == REFUTED
+    assert verdict.n_tested == (2, 3)
+    assert verdict.counterexample == {
+        "i": 2, "k": 2, "quotient": 5, "kind": "quotient is a Mela number"}
+    monkeypatch.undo()
+    sequence = mela
+
+    def m_4_plus_one(k, **kwargs):
+        values = sequence(k, **kwargs)
+        values[3] += 1
+        return values
+
+    monkeypatch.setattr(MELA, "mela", m_4_plus_one)
+    verdict = check_divisibility(3, 3)
+    assert verdict.status == REFUTED
+    assert verdict.n_tested == (2, 3)
+    assert verdict.counterexample == {
+        "i": 2, "k": 2, "m_i": 3, "m_ki": 16, "kind": "not divisible"}
