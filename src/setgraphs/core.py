@@ -33,7 +33,7 @@ class VertexLabel(NamedTuple):
 
 
 def check_ground_size(n: int, cap: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"ground-set size must be a positive integer, got {n!r}")
     if n > cap:
         raise CapExceeded(f"ground-set size {n} exceeds cap {cap}")
@@ -41,7 +41,7 @@ def check_ground_size(n: int, cap: int) -> None:
 
 def check_mask(n: int, m: int) -> None:
     """Raise ValueError unless m encodes a non-empty subset of an n-element ground set."""
-    if not (isinstance(m, int) and 0 < m < (1 << n)):
+    if not (type(m) is int and 0 < m < (1 << n)):
         raise ValueError(f"invalid subset mask {m!r} for ground-set size {n}")
 
 

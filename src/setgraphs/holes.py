@@ -27,6 +27,15 @@ reading each complement edge once and crediting both of its ends. The scalar
 primitive_degree intersects v's row with each neighbour's row; beyond the row
 check of `Graph.degrees` it shares no code with the identity, so it stays the
 reference for the tests and claim C7.
+
+hole_report needs both h and the incidences, and every triangle has three
+vertices, so it reads h_exact as a third of the summed incidences and raises
+ValueError when that sum is not a multiple of 3. It does not also run the
+Goodman kernel: a second scan of the same complement rows would add about
+half again to the report's time at n = 12 and repeat a comparison the tests
+already make. The kernel stays the route for `invariants`, claims C11 and
+C20 and the n = 13 acceptance gate, and the tests compare it with both
+primitive_degrees and hole_report.
 """
 
 from __future__ import annotations
@@ -182,12 +191,15 @@ def primitive_degrees(g: Graph) -> tuple[int, ...]:
     shared = [0] * v
     for u, cu in enumerate(comp):
         du = degrees[u]
+        shared_u = far_u = 0
         for w in _bit_positions(cu & ((1 << u) - 1)):
             c = (cu & comp[w]).bit_count()
-            shared[u] += c
+            shared_u += c
             shared[w] += c
-            far[u] += degrees[w]
+            far_u += degrees[w]
             far[w] += du
+        shared[u] += shared_u
+        far[u] += far_u
     out = []
     for d, f, s in zip(degrees, far, shared):
         if s % 2:
@@ -236,6 +248,11 @@ class HoleReport:
 def hole_report(n: int, *, threads: int = 1, caps: Caps = DEFAULT_CAPS) -> HoleReport:
     """Triangle statistics of G(n).
 
+    Below the exact caps, one primitive_degrees scan gives the histogram,
+    and h_exact is a third of the summed incidences, checked for
+    divisibility by 3; the module docstring says why triangle_count_exact
+    does not run here.
+
     ``threads`` is accepted and ignored: everything runs on one thread. It
     stays because the benchmark's child process (perfbench/child.py) calls
     ``hole_report(n, threads=1)``.
@@ -244,10 +261,12 @@ def hole_report(n: int, *, threads: int = 1, caps: Caps = DEFAULT_CAPS) -> HoleR
     h_exact = None
     histogram = None
     if n <= min(caps.triangle_exact_max_n, caps.materialize_max_n):
-        g = materialize(n, caps=caps)
-        h_exact = triangle_count_exact(g, caps=caps)
+        incidence = primitive_degrees(materialize(n, caps=caps))
+        h_exact, rest = divmod(sum(incidence), 3)
+        if rest:
+            raise ValueError("triangle incidences do not sum to a multiple of 3")
         histogram = {}
-        for dp in primitive_degrees(g):
+        for dp in incidence:
             histogram[dp] = histogram.get(dp, 0) + 1
     claimed = triangle_count_claimed(n, caps=caps) if n >= 2 else None
     corrected = (

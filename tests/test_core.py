@@ -14,6 +14,7 @@ from setgraphs import (
     canonical_index,
     canonical_masks,
     extension_map,
+    hole_report,
     label_of_mask,
     mask_of_elements,
     mask_of_label,
@@ -103,6 +104,21 @@ def test_label_roundtrip_property():
         assert label_of_mask(n, mask_of_label(n, VertexLabel(s, i))) == (s, i)
 
     check()
+
+
+def test_bools_are_neither_sizes_nor_masks():
+    # bool is a subclass of int, so an isinstance check would let True pass
+    # as 1 and hole_report(True) report "n": true
+    materialize(1)  # a cached G(1) must not answer for True either
+    for call in (
+        lambda: vertex_count(True),
+        lambda: vertex_count(False),
+        lambda: materialize(True),
+        lambda: hole_report(True),
+        lambda: label_of_mask(3, True),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_label_errors():

@@ -1,8 +1,10 @@
 """Triangle counts: exact kernel, claimed and corrected recursions, incidence."""
 
 import hashlib
+import json
 import subprocess
 import sys
+from collections import Counter
 from functools import cached_property
 from itertools import combinations
 
@@ -23,7 +25,7 @@ from setgraphs import (
     triangle_count_corrected,
     triangle_count_exact,
 )
-from setgraphs import core
+from setgraphs import core, holes
 from setgraphs.config import DEFAULT_CAPS
 from setgraphs.core import Graph
 from setgraphs.holes import _complement_triangles
@@ -269,7 +271,6 @@ def test_row_check_on_arbitrary_rows_up_to_64_vertices():
 
 
 def test_hole_report_checks_its_rows_once(monkeypatch):
-    # the exact count and the per-vertex incidence read the same graph, so
     # the row check behind Graph.degrees must run once per hole_report; the
     # materialize cache is emptied first, so no graph arrives checked already
     core._materialize.cache_clear()
@@ -413,6 +414,32 @@ def test_hole_bounds_and_monotonicity():
         prev = h
 
 
+def test_hole_report_agrees_with_the_kernel_it_does_not_call():
+    # hole_report reads h as a third of the summed incidences; the Goodman
+    # kernel is the independent route to the same h
+    for n in range(1, 12):
+        g = materialize(n)
+        rep = hole_report(n)
+        assert rep.h_exact == triangle_count_exact(g)
+        assert rep.primitive_degree_histogram == Counter(primitive_degrees(g))
+
+
+def test_hole_report_12_pinned():
+    # the digest the benchmark checks for its incidence_n12 workload
+    text = json.dumps(hole_report(12).as_dict()) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3317137afd57f4a782daa700f9655e912603e03fee261d234492f248d102a6d1"
+    )
+
+
+def test_hole_report_rejects_incidences_that_are_not_three_h(monkeypatch):
+    bumped = list(primitive_degrees(materialize(3)))
+    bumped[0] += 1
+    monkeypatch.setattr(holes, "primitive_degrees", lambda g: tuple(bumped))
+    with pytest.raises(ValueError, match="multiple of 3"):
+        hole_report(3)
+
+
 def test_hole_report_fields():
     rep = hole_report(3).as_dict()
     assert rep["n"] == 3
@@ -432,8 +459,6 @@ def test_hole_report_above_exact_cap():
 
 
 def test_hole_report_json_serializable():
-    import json
-
     for n in (1, 3, 15):
         doc = json.loads(json.dumps(hole_report(n).as_dict()))
         assert doc["n"] == n
