@@ -3,7 +3,10 @@
 Each quantity is available along independent routes: a closed form, the
 recursion that the claims harness adjudicates, and a brute-force scan over
 explicit rows. The routes are kept separate on purpose so they can be played
-against each other.
+against each other. Tightness is counted over explicit subsets twice: the
+scalar `tightness` walks one mask's disjoint submasks and is the reference
+that the tests hold `tightness_vector` to, while the vector counts every
+mask's disjoint subsets at once by a subset-sum sweep.
 """
 
 from __future__ import annotations
@@ -89,9 +92,10 @@ def tightness(n: int, m: int) -> int:
     """Number of other non-empty subsets meeting m, counted over an explicit set.
 
     The 2^n - 1 non-empty subsets, less m itself, less those disjoint from m:
-    the non-empty submasks of ~m, walked one by one (2^(n-|m|) steps, about
-    3^n over all m). It uses no closed form, so the recursion and the degree
-    formula stay independent routes to the same values.
+    the non-empty submasks of ~m, walked one by one (2^(n-|m|) steps). It uses
+    no closed form, so the recursion and the degree formula stay independent
+    routes to the same values. `tightness_vector` does not call it; this
+    one-mask walk is the scalar reference the tests compare the vector with.
     """
     check_mask(n, m)
     disjoint = len(tuple(_submasks(full_mask(n) & ~m)))
@@ -100,6 +104,14 @@ def tightness(n: int, m: int) -> int:
 
 def tightness_vector(n: int, *, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
     """Tightness value per vertex in canonical order; equals the degree sequence.
+
+    One subset-sum (zeta transform) sweep over the explicit subset lattice
+    counts, for every mask x, its non-empty submasks: start from 1 at each
+    non-empty x, then for each element bit add the count of x without the bit
+    into every x that holds it, n * 2^(n-1) additions in all against about
+    3^n steps of `tightness` over every mask. The value of m is 2^n - 2 less
+    the count at ~m, its disjoint subsets. No closed form, recursion step or
+    row is read, so C12 and C18 keep two independent routes.
 
     The vector depends on n alone, so each one is computed once per process
     and kept (see _tightness_vector); the cap is checked on every call, in
@@ -112,7 +124,16 @@ def tightness_vector(n: int, *, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
 
 @lru_cache(maxsize=16)
 def _tightness_vector(n: int) -> tuple[int, ...]:
-    return tuple(tightness(n, m) for m in canonical_masks(n))
+    size = 1 << n
+    inside = [1] * size  # inside[x]: non-empty submasks of x counted so far
+    inside[0] = 0
+    for b in range(n):
+        bit = 1 << b
+        for x in range(size):
+            if x & bit:
+                inside[x] += inside[x ^ bit]
+    full = size - 1
+    return tuple(size - 2 - inside[full ^ m] for m in canonical_masks(n))
 
 
 def tightness_recursion_step(n: int, old_values) -> tuple[int, ...]:

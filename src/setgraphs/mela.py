@@ -15,9 +15,9 @@ PRODUCT_CAP_INDEX = 31  # m_31^2 < 2^63, keeps pairwise products desk-checkable
 
 
 def mela(k: int, *, caps: Caps = DEFAULT_CAPS) -> list[int]:
-    """The first k Mela numbers."""
-    if k < 1:
-        raise ValueError(f"need at least one term, got k={k}")
+    """The first k Mela numbers; k must be a plain int (not a bool)."""
+    if type(k) is not int or k < 1:
+        raise ValueError(f"need at least one term (a plain int), got k={k!r}")
     if k > caps.mela_max_index:
         raise CapExceeded(f"Mela sequence capped at index {caps.mela_max_index}, got {k}")
     values = [1]
@@ -27,8 +27,8 @@ def mela(k: int, *, caps: Caps = DEFAULT_CAPS) -> list[int]:
 
 
 def is_mela(x: int) -> bool:
-    """True iff x = 2^i - 1 for some i >= 1."""
-    return isinstance(x, int) and x >= 1 and (x + 1) & x == 0
+    """True iff x is a plain int (not a bool) equal to 2^i - 1 for some i >= 1."""
+    return type(x) is int and x >= 1 and (x + 1) & x == 0
 
 
 def check_closure(max_index: int, *, caps: Caps = DEFAULT_CAPS) -> ClaimVerdict:

@@ -193,10 +193,11 @@ def test_criterion_09_performance_n13():
     _report(9, ok, f"n=13 exact count {h} in {elapsed:.1f}s (budget 60s), matches the corrected recursion")
 
 
-def test_criterion_10_determinism():
+def test_criterion_10_determinism(child_env):
     def run(*args):
         return subprocess.run(
-            [sys.executable, "-m", "setgraphs", *args], capture_output=True, check=True
+            [sys.executable, "-m", "setgraphs", *args], capture_output=True, check=True,
+            env=child_env,
         ).stdout
 
     verify_args = ("verify", "--claims", "all", "--max-n", "6")

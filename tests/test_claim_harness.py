@@ -51,7 +51,7 @@ def test_report_bytes_are_pinned(max_n, override):
     assert _report_digest(max_n, override) == GOLDEN[max_n, override]
 
 
-def test_report_bytes_hold_under_optimize_flag():
+def test_report_bytes_hold_under_optimize_flag(child_env):
     # every check must decide by itself, not through an assert that -O drops
     code = """
 import hashlib
@@ -60,7 +60,9 @@ verdicts = run_claims("all", 6)
 text = render_report(verdicts, "json", max_n=6) + render_report(verdicts, "md", max_n=6)
 print(hashlib.sha256(text.encode()).hexdigest())
 """
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=child_env
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == GOLDEN[6, None]
 

@@ -358,19 +358,20 @@ def test_threads_is_validated_then_ignored(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
-def _run_subprocess(*args):
+def _run_subprocess(env, *args):
     return subprocess.run(
         [sys.executable, "-m", "setgraphs", *args],
         capture_output=True,
         check=True,
+        env=env,
     ).stdout
 
 
-def test_outputs_byte_identical_across_runs():
+def test_outputs_byte_identical_across_runs(child_env):
     verify_args = ("verify", "--claims", "all", "--max-n", "4")
     build_args = ("build", "5", "--format", "csv")
-    assert _run_subprocess(*verify_args) == _run_subprocess(*verify_args)
-    assert _run_subprocess(*build_args) == _run_subprocess(*build_args)
+    assert _run_subprocess(child_env, *verify_args) == _run_subprocess(child_env, *verify_args)
+    assert _run_subprocess(child_env, *build_args) == _run_subprocess(child_env, *build_args)
 
 
 @pytest.mark.parametrize(
@@ -481,8 +482,10 @@ def test_any_config_value_runs_or_exits_with_one_line():
     check()
 
 
-def test_cli_import_leaves_numpy_out():
+def test_cli_import_leaves_numpy_out(child_env):
     code = "import sys, setgraphs.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"

@@ -1,6 +1,5 @@
 """Every demo script runs to completion as its own process."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,11 +15,9 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_exits_zero(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+def test_demo_exits_zero(demo, tmp_path, child_env):
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, str(demo)], cwd=tmp_path, env=child_env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout

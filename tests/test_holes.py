@@ -143,7 +143,7 @@ def test_primitive_degrees_pinned(n):
     assert hashlib.sha256(text.encode()).hexdigest() == PRIMITIVE_DEGREES_SHA256[n]
 
 
-def test_symmetry_checks_run_under_optimize_flag():
+def test_symmetry_checks_run_under_optimize_flag(child_env):
     # none of these row sets is a simple undirected graph; under -O an assert
     # would be skipped, so each check must raise by itself:
     # 0 -> {1, 2}, 1 -> {2}, 2 -> {}: odd doubled sums, column sums differ;
@@ -181,7 +181,9 @@ for rows, checks in cases:
             continue
         raise SystemExit(f"no error from {check} on {rows}")
 """
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=child_env
+    )
     assert proc.returncode == 0, proc.stderr + proc.stdout
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from setgraphs import invariants
 from setgraphs import (
     DEFAULT_CAPS,
     CapExceeded,
@@ -126,6 +127,28 @@ def test_tightness_vector_is_kept_behind_its_cap():
     tightness_vector(9)
     with pytest.raises(CapExceeded):
         tightness_vector(9, caps=DEFAULT_CAPS.with_overrides(materialize_max_n=8))
+
+
+def test_tightness_vector_matches_scalar_walk():
+    for n in range(1, 11):
+        assert tightness_vector(n) == tuple(tightness(n, m) for m in canonical_masks(n))
+
+
+def test_tightness_vector_matches_row_degrees():
+    for n in range(1, 13):
+        assert tightness_vector(n) == materialize(n).degrees
+
+
+def test_tightness_vector_does_not_read_the_scalar_walk(monkeypatch):
+    # the sweep and the one-mask walk are separate routes: the vector must
+    # come out right with the walk unavailable
+    def refuse(n, m):
+        raise AssertionError("tightness_vector called the scalar walk")
+
+    invariants._tightness_vector.cache_clear()
+    monkeypatch.setattr(invariants, "tightness", refuse)
+    for n in range(1, 9):
+        assert tightness_vector(n) == materialize(n).degrees
 
 
 def test_tightness_matches_networkx_degree():

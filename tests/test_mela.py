@@ -51,6 +51,17 @@ def test_is_mela():
         assert is_mela(x) == (x in values)
 
 
+def test_bools_and_floats_are_not_indices_or_members():
+    # bool is a subclass of int, but True is neither a term count nor m_1
+    assert not is_mela(True)
+    assert not is_mela(False)
+    assert not is_mela(1.0)
+    with pytest.raises(ValueError):
+        mela(True)
+    with pytest.raises(ValueError):
+        mela(2.5)
+
+
 def test_closure_examples():
     assert not is_mela(3 + 7)
     assert not is_mela(3 * 7)
