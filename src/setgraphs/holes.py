@@ -20,7 +20,7 @@ complement neighbours below each vertex, and in canonical order the lower
 end of a disjoint pair is almost always a small subset near the start, so
 the ANDs run over a few low bits instead of all V.
 
-Per-vertex incidence has two routes. primitive_degrees runs the per-vertex
+Per-vertex incidence has two routes on explicit rows. primitive_degrees runs the per-vertex
 identity t(v) = |E| - d(v) - sum_{w in comp(v)} d(w) + C(V-1-d(v), 2) - t_c(v)
 on its own scan of the complement rows (t_c(v): complement triangles at v),
 reading each complement edge once and crediting both of its ends. The scalar
@@ -28,14 +28,22 @@ primitive_degree intersects v's row with each neighbour's row; beyond the row
 check of `Graph.degrees` it shares no code with the identity, so it stays the
 reference for the tests and claim C7.
 
-hole_report needs both h and the incidences, and every triangle has three
-vertices, so it reads h_exact as a third of the summed incidences and raises
-ValueError when that sum is not a multiple of 3. It does not also run the
-Goodman kernel: a second scan of the same complement rows would add about
-half again to the report's time at n = 12 and repeat a comparison the tests
-already make. The kernel stays the route for `invariants`, claims C11 and
-C20 and the n = 13 acceptance gate, and the tests compare it with both
-primitive_degrees and hole_report.
+hole_report reads its histogram and h_exact from a third route to the
+incidences, _incidence_by_size, which builds no graph. A permutation of the
+ground set maps G(n) onto itself and any k-subset onto any other, so every
+vertex of cardinality k has the same degree and the same incidence t_k. The
+route runs the per-vertex identity above at one vertex per cardinality,
+(1 << k) - 1, in mask space: the complement row of a mask w is the indicator
+of the non-empty submasks of ~w, built by doubling, one row at a time, and
+the degrees come from the popcounts of those rows. That is about 2^n
+neighbour rows in all, against the ~0.26M complement edges that
+primitive_degrees reads at n = 12. h_exact is a third of
+sum_k C(n,k) * t_k, and a sum that is not a multiple of 3 raises ValueError.
+The route reads no closed form, so h_exact stays independent of the
+corrected recursion; primitive_degrees on full rows stays the test that the
+symmetry assumption holds. The Goodman kernel stays the route for
+`invariants`, claims C11 and C20 and the n = 13 acceptance gate, and the
+tests compare it with primitive_degrees, the per-size route and hole_report.
 """
 
 from __future__ import annotations
@@ -44,13 +52,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .config import DEFAULT_CAPS, CapExceeded, Caps
-from .core import (
-    Graph,
-    _bit_positions,
-    canonical_index,
-    check_ground_size,
-    materialize,
-)
+from .core import Graph, _bit_positions, canonical_index, check_ground_size
 from .invariants import degree_closed, edge_count_closed
 
 
@@ -200,13 +202,67 @@ def primitive_degrees(g: Graph) -> tuple[int, ...]:
             far[w] += du
         shared[u] += shared_u
         far[u] += far_u
-    out = []
-    for d, f, s in zip(degrees, far, shared):
-        if s % 2:
-            raise ValueError("rows are not symmetric: odd doubled complement incidence")
-        out.append(edges - d - f + comb(v - 1 - d, 2) - s // 2)
+    out = tuple(
+        _incidence(v, edges, d, f, s) for d, f, s in zip(degrees, far, shared)
+    )
     if min(out, default=0) < 0:
         raise ValueError("rows are not symmetric: negative triangle incidence")
+    return out
+
+
+def _incidence(v: int, edges: int, d: int, far: int, shared: int) -> int:
+    """The per-vertex identity: triangles at a vertex of degree d.
+
+    far is the summed degree of its complement neighbours and shared the
+    summed |comp[v] & comp[w]| over them, twice its complement triangles;
+    an odd shared raises ValueError.
+    """
+    if shared % 2:
+        raise ValueError("rows are not symmetric: odd doubled complement incidence")
+    return edges - d - far + comb(v - 1 - d, 2) - shared // 2
+
+
+def _submask_row(free: int) -> int:
+    """Indicator of the non-empty submasks of free, bit x for mask x.
+
+    This is the complement row, in mask space, of the mask whose bits
+    outside free are all set: each element of free doubles the submasks.
+    """
+    row = 1
+    for b in _bit_positions(free):
+        row |= row << (1 << b)
+    return row ^ 1
+
+
+def _incidence_by_size(n: int) -> tuple[int, ...]:
+    """(t_1, ..., t_n): the triangle incidence of the vertex (1 << k) - 1.
+
+    Every k-subset has incidence t_k (the module docstring says why). The
+    per-vertex identity of primitive_degrees runs at each representative
+    over its 2^(n-k) - 1 complement neighbours, whose rows are built one at
+    a time and dropped; |E| is half of sum_k C(n,k) * d_k. Degrees are read
+    from the popcounts of the rows, not from a closed form. An odd doubled
+    edge count or complement incidence, or a negative incidence, raises
+    ValueError.
+    """
+    full = (1 << n) - 1
+    v = full  # 2^n - 1 vertices
+    rep_rows = [_submask_row(full ^ ((1 << k) - 1)) for k in range(1, n + 1)]
+    degrees = [v - 1 - row.bit_count() for row in rep_rows]
+    twice_edges = sum(comb(n, k) * d for k, d in enumerate(degrees, 1))
+    if twice_edges % 2:
+        raise ValueError("odd doubled edge count")
+    edges = twice_edges // 2
+    out = []
+    for d, row in zip(degrees, rep_rows):
+        far = shared = 0
+        for w in _bit_positions(row):
+            row_w = _submask_row(full ^ w)
+            far += v - 1 - row_w.bit_count()
+            shared += (row & row_w).bit_count()
+        out.append(_incidence(v, edges, d, far, shared))
+    if min(out, default=0) < 0:
+        raise ValueError("negative triangle incidence")
     return tuple(out)
 
 
@@ -248,10 +304,16 @@ class HoleReport:
 def hole_report(n: int, *, threads: int = 1, caps: Caps = DEFAULT_CAPS) -> HoleReport:
     """Triangle statistics of G(n).
 
-    Below the exact caps, one primitive_degrees scan gives the histogram,
-    and h_exact is a third of the summed incidences, checked for
-    divisibility by 3; the module docstring says why triangle_count_exact
-    does not run here.
+    Below the gate, _incidence_by_size gives t_k at one vertex per
+    cardinality; the histogram maps t_k to the C(n,k) vertices that share
+    it, and h_exact is a third of sum_k C(n,k) * t_k, checked for
+    divisibility by 3. No graph is materialized: permuting the ground set
+    preserves G(n) and moves any k-subset onto any other, so the vertices of
+    one size share one incidence (the module docstring has the route).
+
+    The gate n <= min(triangle_exact_max_n, materialize_max_n) is interim:
+    the route needs neither cap, but keeping their gate keeps every report
+    byte-identical under every cap until a cap of its own is added.
 
     ``threads`` is accepted and ignored: everything runs on one thread. It
     stays because the benchmark's child process (perfbench/child.py) calls
@@ -261,13 +323,13 @@ def hole_report(n: int, *, threads: int = 1, caps: Caps = DEFAULT_CAPS) -> HoleR
     h_exact = None
     histogram = None
     if n <= min(caps.triangle_exact_max_n, caps.materialize_max_n):
-        incidence = primitive_degrees(materialize(n, caps=caps))
-        h_exact, rest = divmod(sum(incidence), 3)
+        incidence = _incidence_by_size(n)
+        histogram = {}
+        for k, t in enumerate(incidence, 1):
+            histogram[t] = histogram.get(t, 0) + comb(n, k)
+        h_exact, rest = divmod(sum(t * count for t, count in histogram.items()), 3)
         if rest:
             raise ValueError("triangle incidences do not sum to a multiple of 3")
-        histogram = {}
-        for dp in incidence:
-            histogram[dp] = histogram.get(dp, 0) + 1
     claimed = triangle_count_claimed(n, caps=caps) if n >= 2 else None
     corrected = (
         triangle_count_corrected(n, caps=caps) if n <= caps.corrected_max_n else None

@@ -7,6 +7,7 @@ import sys
 from collections import Counter
 from functools import cached_property
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -25,10 +26,10 @@ from setgraphs import (
     triangle_count_corrected,
     triangle_count_exact,
 )
-from setgraphs import core, holes
+from setgraphs import core, holes, invariants
 from setgraphs.config import DEFAULT_CAPS
 from setgraphs.core import Graph
-from setgraphs.holes import _complement_triangles
+from setgraphs.holes import _complement_triangles, _incidence_by_size, _submask_row
 
 # frozen from exhaustive triple enumeration
 EXACT = {1: 0, 2: 0, 3: 13, 4: 222, 5: 2585, 6: 25830, 7: 238833}
@@ -272,9 +273,36 @@ def test_row_check_on_arbitrary_rows_up_to_64_vertices():
     check()
 
 
-def test_hole_report_checks_its_rows_once(monkeypatch):
-    # the row check behind Graph.degrees must run once per hole_report; the
-    # materialize cache is emptied first, so no graph arrives checked already
+def test_hole_report_builds_no_graph(monkeypatch):
+    # hole_report reads one vertex per cardinality in mask space: no G(n) is
+    # built and no row check runs; the materialize cache is emptied first,
+    # so a build would reach the spy
+    core._materialize.cache_clear()
+    built, checked = [], []
+    build = core._materialize
+
+    def counted_build(n):
+        built.append(n)
+        return build(n)
+
+    def counted_check(self):
+        checked.append(self.num_vertices)
+        return check(self)
+
+    check = Graph.degrees.func
+    spy = cached_property(counted_check)
+    spy.__set_name__(Graph, "degrees")
+    monkeypatch.setattr(core, "_materialize", counted_build)
+    monkeypatch.setattr(Graph, "degrees", spy)
+    for n in (5, 8, 12):
+        hole_report(n)
+    assert built == [] and checked == []
+
+
+def test_one_graph_is_checked_once_across_kernels(monkeypatch):
+    # the row check behind Graph.degrees runs once per graph, whichever
+    # kernels read it; the materialize cache is emptied first, so no graph
+    # arrives checked already
     core._materialize.cache_clear()
     checked = []
     check = Graph.degrees.func
@@ -288,11 +316,50 @@ def test_hole_report_checks_its_rows_once(monkeypatch):
     monkeypatch.setattr(Graph, "degrees", spy)
     for n in (5, 8):
         checked.clear()
-        hole_report(n)
+        g = materialize(n)
+        triangle_count_exact(g)
+        primitive_degrees(g)
         assert checked == [(1 << n) - 1]
         # the graph is kept with its checked degrees: a repeat checks nothing
-        hole_report(n)
+        triangle_count_exact(materialize(n))
+        primitive_degrees(materialize(n))
         assert checked == [(1 << n) - 1]
+
+
+def _by_size_histogram(n: int) -> Counter:
+    histogram = Counter()
+    for k, t in enumerate(_incidence_by_size(n), 1):
+        histogram[t] += comb(n, k)
+    return histogram
+
+
+def test_incidence_by_size_matches_full_rows():
+    # primitive_degrees reads every vertex of the explicit graph, so equal
+    # histograms show that the vertices of one size share one incidence
+    for n in range(1, 13):
+        assert _by_size_histogram(n) == Counter(primitive_degrees(materialize(n)))
+
+
+def test_incidence_by_size_sums_to_three_h():
+    # both references are closed forms; the per-size route reads neither
+    for n in range(1, 16):
+        incidence = _incidence_by_size(n)
+        tripled = sum(comb(n, k) * t for k, t in enumerate(incidence, 1))
+        assert tripled == 3 * triangle_count_corrected(n)
+        assert tripled == 3 * _h_by_complement_counting(n)
+        assert incidence[-1] == apex_primitive_degree(n)
+
+
+def test_incidence_by_size_reads_no_closed_form(monkeypatch):
+    # h_exact stays independent of the corrected recursion, which reads the
+    # closed degree and edge counts
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed form read")
+
+    for name in ("degree_closed", "edge_count_closed"):
+        monkeypatch.setattr(invariants, name, refuse)
+        monkeypatch.setattr(holes, name, refuse)
+    assert _incidence_by_size(3) == (3, 7, 9)
 
 
 def test_claimed_recursion_pinned():
@@ -322,8 +389,6 @@ def _h_by_complement_counting(n: int) -> int:
     minus pairwise-disjoint triples. Each complement quantity has its own
     closed form (assign every ground element to one of the sets or to none).
     """
-    from math import comb
-
     v = 2**n - 1
     disjoint_pairs = (3**n - 2 ** (n + 1) + 1) // 2
     # middle subset of size k is disjoint from 2^(n-k) - 1 non-empty subsets
@@ -405,8 +470,6 @@ def test_apex_primitive_degree():
 
 
 def test_hole_bounds_and_monotonicity():
-    from math import comb
-
     prev = None
     for n in range(1, 13):
         h = triangle_count_corrected(n)
@@ -435,11 +498,67 @@ def test_hole_report_12_pinned():
 
 
 def test_hole_report_rejects_incidences_that_are_not_three_h(monkeypatch):
-    bumped = list(primitive_degrees(materialize(3)))
-    bumped[0] += 1
-    monkeypatch.setattr(holes, "primitive_degrees", lambda g: tuple(bumped))
+    # one vertex of size 3 in G(3): a bump of t_3 moves the sum by 1
+    bumped = list(_incidence_by_size(3))
+    bumped[2] += 1
+    monkeypatch.setattr(holes, "_incidence_by_size", lambda n: tuple(bumped))
     with pytest.raises(ValueError, match="multiple of 3"):
         hole_report(3)
+
+
+@pytest.mark.parametrize(
+    "skewed_free, extra_mask, message",
+    [
+        # the row of {a1, a2} in G(3) gains {a2}, which also lies in the row
+        # of {a1}: the doubled complement incidence of {a1} turns odd
+        (0b001, 0b010, "odd doubled complement incidence"),
+        # the row of the full set gains {a1}: the one apex loses a degree
+        (0b000, 0b001, "odd doubled edge count"),
+    ],
+    ids=["complement-incidence", "edge-count"],
+)
+def test_incidence_by_size_rejects_odd_doubled_sums(
+    monkeypatch, skewed_free, extra_mask, message
+):
+    def skewed(free):
+        row = _submask_row(free)
+        return row | 1 << extra_mask if free == skewed_free else row
+
+    monkeypatch.setattr(holes, "_submask_row", skewed)
+    with pytest.raises(ValueError, match=message):
+        hole_report(3)
+
+
+def test_hole_report_bytes_and_guards_hold_under_optimize_flag(child_env):
+    # the digest of test_hole_report_12_pinned, and both guards raising by
+    # themselves, not through an assert that -O drops
+    code = """
+import hashlib, json
+from setgraphs import holes, hole_report
+text = json.dumps(hole_report(12).as_dict()) + "\\n"
+print(hashlib.sha256(text.encode()).hexdigest())
+real = holes._submask_row
+holes._submask_row = lambda free: real(free) | 1 << 2 if free == 1 else real(free)
+try:
+    hole_report(3)
+    raise SystemExit("no error from an odd doubled complement incidence")
+except ValueError:
+    pass
+holes._submask_row = real
+holes._incidence_by_size = lambda n: (3, 7, 10)
+try:
+    hole_report(3)
+    raise SystemExit("no error from incidences that are not 3h")
+except ValueError:
+    pass
+"""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=child_env
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout.strip() == (
+        "3317137afd57f4a782daa700f9655e912603e03fee261d234492f248d102a6d1"
+    )
 
 
 def test_hole_report_fields():
