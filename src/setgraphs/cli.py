@@ -33,7 +33,6 @@ from .core import (
     canonical_masks,
     check_ground_size,
     label_of_mask,
-    materialize,
     subset_str,
     vertex_count,
 )
@@ -108,8 +107,11 @@ def _witness(masks) -> dict:
 def invariant_report(n: int, *, caps: Caps = DEFAULT_CAPS) -> dict:
     """All invariants of G(n) in one JSON-ready record.
 
-    Fields whose computation sits above a cap come out as None, with the
-    reason recorded under "reasons".
+    The triangle fields come from one `holes.hole_report`, which builds no
+    graph: triangles_exact from its per-size incidence route (h_exact),
+    triangles_corrected from the corrected recursion (h_corrected) and
+    apex_primitive_degree from |E| minus the apex degree. Fields above a
+    cap are None, with the reason recorded under "reasons".
     """
     reasons: dict[str, str] = {}
     report: dict = {
@@ -124,21 +126,17 @@ def invariant_report(n: int, *, caps: Caps = DEFAULT_CAPS) -> dict:
     report["degree_by_cardinality"] = [
         invariants.degree_closed(n, k) for k in range(1, n + 1)
     ]
-    exact_max_n = min(caps.triangle_exact_max_n, caps.materialize_max_n)
-    if n <= exact_max_n:
-        g = materialize(n, caps=caps)
-        report["triangles_exact"] = holes.triangle_count_exact(g, caps=caps)
-    else:
-        report["triangles_exact"] = None
+    triangles = holes.hole_report(n, caps=caps)
+    report["triangles_exact"] = triangles.h_exact
+    report["triangles_corrected"] = triangles.h_corrected
+    report["apex_primitive_degree"] = triangles.apex_primitive_degree
+    if triangles.h_exact is None:
+        exact_max_n = min(caps.triangle_exact_max_n, caps.materialize_max_n)
         reasons["triangles_exact"] = f"exact count capped at n <= {exact_max_n}"
-    if n <= caps.corrected_max_n:
-        report["triangles_corrected"] = holes.triangle_count_corrected(n, caps=caps)
-    else:
-        report["triangles_corrected"] = None
+    if triangles.h_corrected is None:
         reasons["triangles_corrected"] = (
             f"corrected recursion capped at n <= {caps.corrected_max_n}"
         )
-    report["apex_primitive_degree"] = holes.apex_primitive_degree(n, caps=caps)
     report["clique_number"] = parameters.clique_number(n, caps=caps)
     report["chromatic_number"] = parameters.chromatic_number(n, caps=caps)
     alpha, alpha_witness = parameters.independence_number(n, caps=caps)
@@ -183,6 +181,7 @@ def sequence_rows(metric: str, max_n: int, *, caps: Caps = DEFAULT_CAPS) -> list
     """(n, value) rows for one metric, n = 1..max_n."""
     if metric not in SEQUENCE_METRICS:
         raise ValueError(f"unknown metric {metric!r}")
+    check_int("max_n", max_n)
     holes_cap = min(caps.corrected_max_n, caps.count_max_n)
     cap = holes_cap if metric == "holes" else caps.count_max_n
     if max_n > cap:

@@ -41,9 +41,10 @@ primitive_degrees reads at n = 12. h_exact is a third of
 sum_k C(n,k) * t_k, and a sum that is not a multiple of 3 raises ValueError.
 The route reads no closed form, so h_exact stays independent of the
 corrected recursion; primitive_degrees on full rows stays the test that the
-symmetry assumption holds. The Goodman kernel stays the route for
-`invariants`, claims C11 and C20 and the n = 13 acceptance gate, and the
-tests compare it with primitive_degrees, the per-size route and hole_report.
+symmetry assumption holds. hole_report is also where `setgraph invariants`
+reads its triangle fields. The Goodman kernel stays the route for claims C11
+and C20, the n = 13 acceptance gate and the tests, which compare it with
+primitive_degrees, the per-size route and hole_report.
 """
 
 from __future__ import annotations
@@ -314,6 +315,8 @@ def hole_report(n: int, *, threads: int = 1, caps: Caps = DEFAULT_CAPS) -> HoleR
     The gate n <= min(triangle_exact_max_n, materialize_max_n) is interim:
     the route needs neither cap, but keeping their gate keeps every report
     byte-identical under every cap until a cap of its own is added.
+    `cli.invariant_report` reads its triangle fields here, so `setgraph
+    invariants` follows the same gate.
 
     ``threads`` is accepted and ignored: everything runs on one thread. It
     stays because the benchmark's child process (perfbench/child.py) calls

@@ -469,12 +469,20 @@ ALL_CLAIM_IDS = tuple(claim.claim_id for claim in REGISTRY)
 
 
 def resolve_selection(selection) -> tuple[str, ...]:
-    """Expand 'all' and validate claim ids, preserving registry order."""
+    """Expand 'all' and validate claim ids, preserving registry order.
+
+    selection is a str or a list or tuple of strs; each may hold
+    comma-separated ids.
+    """
     if isinstance(selection, str):
         selection = [selection]
+    if not isinstance(selection, (list, tuple)) or not all(
+        isinstance(item, str) for item in selection
+    ):
+        raise ValueError(f"claims must be a string or a list of strings, got {selection!r}")
     wanted = []
     for item in selection:
-        for part in str(item).split(","):
+        for part in item.split(","):
             part = part.strip()
             if part:
                 wanted.append(part)
@@ -496,6 +504,8 @@ def run_claims(selection, max_n: int, *, caps: Caps = DEFAULT_CAPS) -> list[Clai
     in CLAIMS_BY_ID at call time, so a wrapper written there is the check
     that runs.
     """
+    if type(max_n) is not int:
+        raise ValueError(f"max_n must be an integer, got {max_n!r}")
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
     verdicts = []

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from setgraphs import core
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -18,3 +20,19 @@ def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The sizes passed to `core._materialize`, with its cache emptied first
+    so that every build reaches the spy."""
+    core._materialize.cache_clear()
+    built = []
+    build = core._materialize
+
+    def counted_build(n):
+        built.append(n)
+        return build(n)
+
+    monkeypatch.setattr(core, "_materialize", counted_build)
+    return built

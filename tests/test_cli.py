@@ -16,9 +16,11 @@ from setgraphs import (
     SKIPPED,
     adjacent,
     edge_count_closed,
+    holes,
     materialize,
     run_claims,
     tightness,
+    triangle_count_exact,
 )
 from setgraphs.cli import (
     invariant_report,
@@ -243,6 +245,49 @@ def test_invariants_n20_caps():
     assert report["clique_number"] == 2**19
 
 
+# sha256 of `invariants N` on stdout; the same digests pin the census_n13
+# workload in perfbench/run.py
+INVARIANT_DIGESTS = {
+    6: "81f8d3aeb8a6d8aba712667a34cf3360863704f0c56c6e7b308eedd326be3801",
+    13: "73535dadc03e9c3741a7b0e26f6de64aa6686ef91d195deaf1c434fbfb0f6462",
+}
+
+
+@pytest.mark.parametrize("n", list(INVARIANT_DIGESTS))
+def test_invariants_output_is_pinned(n, capsys):
+    assert run_cli("invariants", str(n)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == INVARIANT_DIGESTS[n]
+
+
+def test_invariant_report_runs_neither_materialize_nor_the_kernel(builds, monkeypatch):
+    # the triangle fields come from hole_report, which builds no graph
+    counted = []
+    monkeypatch.setattr(holes, "triangle_count_exact", lambda *a, **k: counted.append(a))
+    for n in (5, 8, 13):
+        invariant_report(n)
+    assert builds == [] and counted == []
+
+
+def test_only_verify_builds_graphs(builds):
+    commands = [("invariants", "13"), ("invariants", "12", "--table", "degrees"),
+                ("build", "6", "--format", "dot"), ("build", "6", "--format", "json"),
+                ("build", "6", "--format", "csv"), ("sequence", "holes", "--max-n", "19"),
+                ("mela",)]
+    for argv in commands:
+        assert run_cli(*argv) == 0, argv
+    assert builds == []
+    # the spy does see a build: verify compares explicit rows with the formulas
+    assert run_cli("verify", "--claims", "C11", "--max-n", "4") == 0
+    assert builds
+
+
+def test_invariants_exact_triangles_equal_the_kernel():
+    # invariant_report no longer runs the Goodman kernel; it must still agree
+    for n in range(1, 12):
+        assert invariant_report(n)["triangles_exact"] == triangle_count_exact(materialize(n))
+
+
 def test_sequence_rows():
     assert sequence_rows("vertices", 5) == [(1, 1), (2, 3), (3, 7), (4, 15), (5, 31)]
     assert sequence_rows("edges", 5) == [(1, 0), (2, 2), (3, 15), (4, 80), (5, 375)]
@@ -252,6 +297,12 @@ def test_sequence_rows():
     assert sequence_rows("degree_max", 3) == [(1, 0), (2, 2), (3, 6)]
     with pytest.raises(ValueError):
         sequence_rows("girth", 3)
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "3"])
+def test_sequence_rows_refuses_a_max_n_that_is_not_an_int(bad):
+    with pytest.raises(ValueError, match="max_n must be an integer"):
+        sequence_rows("edges", bad)
 
 
 def test_sequence_cli_output(capsys):
@@ -430,6 +481,16 @@ def test_config_setting_must_be_an_int(tmp_path, capsys, key, argv, bad):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("bad", [5, None, True, [5], {"C1": 1}])
+def test_config_claims_must_be_strings(tmp_path, capsys, bad):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"claims": bad}))
+    assert run_cli("--config", str(config), "verify", "--max-n", "2") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("setgraph: claims must be a string or a list of strings")
+    assert err.count("\n") == 1
+
+
 def test_any_config_value_runs_or_exits_with_one_line():
     # random JSON for every config key: the CLI runs, or exits 2 (usage) or
     # 3 (resource guard) with a one-line message; an exception escaping main
@@ -450,7 +511,7 @@ def test_any_config_value_runs_or_exits_with_one_line():
                   | st.text(max_size=4) | st.lists(st.integers(0, 5), max_size=2))
     cap_names = tuple(DEFAULT_CAPS.as_dict())
     commands = [("sequence", "vertices"), ("verify", "--claims", "C1"), ("mela",),
-                ("invariants", "3"), ("build", "2")]
+                ("invariants", "3"), ("build", "2"), ("verify", "--max-n", "2")]
 
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(
@@ -458,6 +519,7 @@ def test_any_config_value_runs_or_exits_with_one_line():
         config=st.fixed_dictionaries({}, optional={
             "max_n": values,
             "max_index": values,
+            "claims": values | st.sampled_from(["C1", "C1,C8", "all", ["C8", "C1"]]),
             "threads": values,
             "format": values | st.sampled_from(["json", "md", "csv", "dot"]),
             "out": values.filter(lambda v: not isinstance(v, str)) | st.just("FILE"),

@@ -273,17 +273,10 @@ def test_row_check_on_arbitrary_rows_up_to_64_vertices():
     check()
 
 
-def test_hole_report_builds_no_graph(monkeypatch):
+def test_hole_report_builds_no_graph(builds, monkeypatch):
     # hole_report reads one vertex per cardinality in mask space: no G(n) is
-    # built and no row check runs; the materialize cache is emptied first,
-    # so a build would reach the spy
-    core._materialize.cache_clear()
-    built, checked = [], []
-    build = core._materialize
-
-    def counted_build(n):
-        built.append(n)
-        return build(n)
+    # built and no row check runs
+    checked = []
 
     def counted_check(self):
         checked.append(self.num_vertices)
@@ -292,11 +285,10 @@ def test_hole_report_builds_no_graph(monkeypatch):
     check = Graph.degrees.func
     spy = cached_property(counted_check)
     spy.__set_name__(Graph, "degrees")
-    monkeypatch.setattr(core, "_materialize", counted_build)
     monkeypatch.setattr(Graph, "degrees", spy)
     for n in (5, 8, 12):
         hole_report(n)
-    assert built == [] and checked == []
+    assert builds == [] and checked == []
 
 
 def test_one_graph_is_checked_once_across_kernels(monkeypatch):

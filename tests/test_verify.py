@@ -40,8 +40,14 @@ def test_selection_handling():
         run_claims([], 6)
     with pytest.raises(ValueError):
         run_claims("C99", 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_n must be positive"):
         run_claims("all", 0)
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "3"])
+def test_max_n_must_be_an_int(bad):
+    with pytest.raises(ValueError, match="max_n must be an integer"):
+        run_claims("C1", bad)
 
 
 def test_c8_confirmed_up_to_10():
