@@ -320,11 +320,13 @@ def main(argv=None) -> int:
             max_n = _int_setting(args, config, "max_n", 9)
             _int_setting(args, config, "threads", 1, minimum=1)  # validated, then ignored
             fmt = _setting(args, config, "format", "json")
+            verify.check_report_format(fmt)
             verdicts = verify.run_claims(selection, max_n, caps=caps)
             _emit(verify.render_report(verdicts, fmt, max_n=max_n, caps=caps), out)
         elif args.command == "mela":
             max_index = _int_setting(args, config, "max_index", 20)
             fmt = _setting(args, config, "format", "json")
+            verify.check_report_format(fmt)
             verdicts = [
                 check_closure(max_index, caps=caps),
                 check_divisibility(max_index, max_index, caps=caps),

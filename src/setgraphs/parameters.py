@@ -31,8 +31,9 @@ class Coloring:
     colors: tuple[int, ...]
     color_count: int
 
-    def is_proper(self) -> bool:
-        """Check against the adjacency predicate, class by class."""
+    def conflict(self) -> tuple[int, int] | None:
+        """Two adjacent masks that share a color, or None; checked against the
+        adjacency predicate, class by class."""
         classes: dict[int, list[int]] = {}
         for m, c in zip(canonical_masks(self.n), self.colors):
             classes.setdefault(c, []).append(m)
@@ -40,8 +41,12 @@ class Coloring:
             for i, u in enumerate(members):
                 for v in members[i + 1 :]:
                     if adjacent(u, v):
-                        return False
-        return True
+                        return u, v
+        return None
+
+    def is_proper(self) -> bool:
+        """True when no two adjacent masks share a color."""
+        return self.conflict() is None
 
 
 def chromatic_coloring(n: int, *, caps: Caps = DEFAULT_CAPS) -> Coloring:

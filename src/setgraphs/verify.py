@@ -6,11 +6,10 @@ Most claims are data: a `_swept` entry gives the cap of its range, an
 optional second cut for a costlier route, its notes, and a `_cN` probe that
 compares the two routes at one n. One runner sweeps n over the clamped range,
 refutes at the first disagreement, and records every clamp in the verdict
-notes. Four claims keep a check of their own: C10, whose refutation note is
-true only when its count check fails, not its size check; C19, whose range
-runs over m up to min(16, 2^max_n), not over n; and C21 and C22, whose
-verdicts the Mela module builds. Verdicts are a pure function of (selection,
-max_n, caps): no clock, no randomness, no environment.
+notes. Three claims keep a check of their own: C19, whose range runs over
+m up to min(16, 2^max_n), not over n; and C21 and C22, whose verdicts the
+Mela module builds. Verdicts are a pure function of (selection, max_n,
+caps): no clock, no randomness, no environment.
 
 A refutation is a finding, not a failure; the runner never raises on one.
 """
@@ -59,46 +58,42 @@ class Claim:
 _EMPTY_RANGE = "needs n >= {min_n} within cap {cap}"
 
 
-def _clamp(min_n: int, max_n: int, cap: int, caps: Caps):
-    """(Effective cap, range, clamp notes); count_max_n also bounds every n-range."""
-    cap = min(cap, caps.count_max_n)
-    top = min(max_n, cap)
-    ns = list(range(min_n, top + 1))
-    notes = []
-    if max_n > cap:
-        notes.append(f"range clamped to n <= {cap} (cap); n <= {max_n} requested")
-    return cap, ns, notes
-
-
 def _swept(
     claim_id: str, description: str, anchor: str, min_n: int,
-    probe: Callable[[int, Caps, int | None], dict | None],
+    probe: Callable[[int, Caps, int | None], dict | tuple[dict, str] | None],
     cap: Callable[[Caps], int],
     *,
     top: Callable[[Caps], int] | None = None,
     skip: str = _EMPTY_RANGE,
     notes: tuple[str, ...] = (),
-    refuted_note: str | None = None,
 ) -> Claim:
     """A claim decided by sweeping n upward over the range that cap(caps) allows.
 
-    An empty range is SKIPPED with skip.format(min_n=..., cap=...).
-    probe(n, caps, top) compares the two routes at one n and returns None or
-    a counterexample; top = min(max_n, top(caps)) bounds a costlier route. The
-    first counterexample refutes over the sizes swept so far (with the clamp
-    notes and refuted_note, if one is given); otherwise the verdict carries
-    the clamp notes and `notes` formatted with {top} and {last}, the last n.
+    count_max_n also bounds every range. An empty range is SKIPPED with
+    skip.format(min_n=..., cap=...). probe(n, caps, top) compares the two
+    routes at one n; top = min(max_n, top(caps)) bounds a costlier route. It
+    returns None where the routes agree, else a counterexample, or a
+    (counterexample, note) pair when the note holds only for that failure.
+    The first counterexample refutes over the sizes swept so far; the verdict
+    carries the clamp notes and the note if the probe gave one, and no notes
+    otherwise. A confirmation carries the clamp notes and `notes` formatted
+    with {top} and {last}, the last n.
     """
 
     def check(max_n: int, caps: Caps) -> ClaimVerdict:
-        bound, ns, clamp_notes = _clamp(min_n, max_n, cap(caps), caps)
+        bound = min(cap(caps), caps.count_max_n)
+        ns = range(min_n, min(max_n, bound) + 1)
         if not ns:
             return _skipped(claim_id, skip.format(min_n=min_n, cap=bound))
+        clamp_notes = []
+        if max_n > bound:
+            clamp_notes.append(f"range clamped to n <= {bound} (cap); n <= {max_n} requested")
         cut = min(max_n, top(caps)) if top else None
         for n in ns:
-            counterexample = probe(n, caps, cut)
-            if counterexample is not None:
-                extra = clamp_notes + [refuted_note] if refuted_note else ()
+            found = probe(n, caps, cut)
+            if found is not None:
+                counterexample, note = found if isinstance(found, tuple) else (found, None)
+                extra = clamp_notes + [note] if note else ()
                 return _refuted(claim_id, range(ns[0], n + 1), counterexample, extra)
         return _confirmed(
             claim_id, ns, clamp_notes + [note.format(top=cut, last=ns[-1]) for note in notes]
@@ -211,33 +206,23 @@ def _c9(n: int, caps: Caps, top: int | None) -> dict | None:
                     "actual": {"missing": sorted(want - held), "surplus": sorted(held - want)}}
 
 
-def _check_c10(max_n: int, caps: Caps) -> ClaimVerdict:
-    _, ns, notes = _clamp(2, max_n, min(caps.clique_oracle_max_n, caps.materialize_max_n), caps)
-    if not ns:
-        return _skipped("C10", "needs n >= 2 within the clique oracle cap")
-    for n in ns:
-        found = parameters.max_cliques(materialize(n, caps=caps), caps=caps)
-        expected_size = parameters.clique_number(n, caps=caps)
-        if found.size != expected_size:
-            return _refuted(
-                "C10", range(ns[0], n + 1),
-                {"n": n, "expected": expected_size, "actual": found.size},
-            )
-        if len(found.cliques) != 2:
-            return _refuted(
-                "C10", range(ns[0], n + 1),
-                {"n": n, "expected": 2, "actual": len(found.cliques),
+def _c10(n: int, caps: Caps, top: int | None) -> dict | tuple[dict, str] | None:
+    found = parameters.max_cliques(materialize(n, caps=caps), caps=caps)
+    expected_size = parameters.clique_number(n, caps=caps)
+    if found.size != expected_size:
+        return {"n": n, "expected": expected_size, "actual": found.size}
+    if len(found.cliques) != 2:
+        return ({"n": n, "expected": 2, "actual": len(found.cliques),
                  "witness": {"cliques": [list(c) for c in found.cliques]}},
-                notes + ["the clique order 2^(n-1) itself holds at every size tested"],
-            )
-    return _confirmed("C10", ns, notes)
+                "the clique order 2^(n-1) itself holds at every size tested")
 
 
-def _c11(n: int, caps: Caps, top: int | None) -> dict | None:
+def _c11(n: int, caps: Caps, top: int | None) -> tuple[dict, str] | None:
     stated = holes.triangle_count_claimed(n, caps=caps)
     exact = holes.triangle_count_exact(materialize(n, caps=caps), caps=caps)
     if stated != exact:
-        return {"n": n, "expected": stated, "actual": exact}
+        return ({"n": n, "expected": stated, "actual": exact},
+                "exact count via exhaustive bit-parallel edge scan")
 
 
 def _c12(n: int, caps: Caps, top: int | None) -> dict | None:
@@ -257,16 +242,20 @@ def _c12(n: int, caps: Caps, top: int | None) -> dict | None:
 def _c13(n: int, caps: Caps, top: int | None) -> dict | None:
     target = parameters.clique_number(n, caps=caps)
     coloring = parameters.chromatic_coloring(n, caps=caps)
+    if coloring.color_count != target:
+        return {"n": n, "expected": {"colors": target}, "actual": {"colors": coloring.color_count}}
+    clash = coloring.conflict()
+    if clash is not None:
+        return {"n": n, "expected": "proper coloring", "actual": {"same color": list(clash)}}
     witness = parameters.clique_witness(n, caps=caps)
     g = materialize(n, caps=caps)
     # the witness as a bitmap of canonical indices: a clique exactly when
     # each member's closed row covers every member
     index = {m: i for i, m in enumerate(g.masks)}
     members = sum(1 << index[m] for m in set(witness) if m in index)
-    clique_ok = len(witness) == target == members.bit_count() and all(
-        (g.rows[i] | 1 << i) & members == members for i in _bit_positions(members))
-    if coloring.color_count != target or not coloring.is_proper() or not clique_ok:
-        return {"n": n, "expected": target, "actual": coloring.color_count}
+    if not (len(witness) == target == members.bit_count() and all(
+            (g.rows[i] | 1 << i) & members == members for i in _bit_positions(members))):
+        return {"n": n, "expected": {"clique order": target}, "actual": {"witness": list(witness)}}
     if n <= top:
         chi = chromatic_exact(g)
         if chi != target:
@@ -327,7 +316,8 @@ def _c18(n: int, caps: Caps, top: int | None) -> dict | None:
 
 
 def _check_c19(max_n: int, caps: Caps) -> ClaimVerdict:
-    top = min(16, 1 << max_n)
+    # 2^4 already reaches 16, so no huge max_n is ever shifted into an int
+    top = min(16, 1 << min(max_n, 4))
     ms = list(range(1, top + 1))
     for m in ms:
         count = len(enum_triangles(Graph.complete(m)))
@@ -409,13 +399,14 @@ REGISTRY: tuple[Claim, ...] = (
            lambda c: 19,
            top=lambda c: min(12, c.materialize_max_n, c.count_max_n - 1),
            notes=("extension-map enumeration cross-checked for n <= {top}",)),
-    Claim("C10", "the graph has exactly two largest complete subgraphs, of order 2^(n-1)",
-          "exactly two largest complete subgraphs K_{2^(n-1)}", 2, _check_c10),
+    _swept("C10", "the graph has exactly two largest complete subgraphs, of order 2^(n-1)",
+           "exactly two largest complete subgraphs K_{2^(n-1)}", 2, _c10,
+           lambda c: min(c.clique_oracle_max_n, c.materialize_max_n),
+           skip="needs n >= 2 within the clique oracle cap"),
     _swept("C11", "triangle recursion h(n+1) = h(n) + C(2^n, 3) + 4|E(n)| matches the exact count",
            "h(G(n+1)) = h(G(n)) + C(2^n, 3) + 4|E(G(n))|", 2, _c11,
            lambda c: min(c.triangle_exact_max_n, c.materialize_max_n),
-           skip="needs n >= 2 within exact-count cap {cap}",
-           refuted_note="exact count via exhaustive bit-parallel edge scan"),
+           skip="needs n >= 2 within exact-count cap {cap}"),
     _swept("C12", "tightness recursion: new singleton 2^n - 1; erstwhile k -> 2k + 1; replica k -> 2^n + k",
            "tightness recursion parts (i)-(iii)", 1, _c12,
            lambda c: min(10, c.materialize_max_n - 1),
@@ -518,6 +509,15 @@ def run_claims(selection, max_n: int, *, caps: Caps = DEFAULT_CAPS) -> list[Clai
     return verdicts
 
 
+REPORT_FORMATS = ("json", "md", "markdown")
+
+
+def check_report_format(fmt) -> None:
+    """Refuse a report format that render_report does not write."""
+    if fmt not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}")
+
+
 def render_report(
     verdicts: list[ClaimVerdict],
     fmt: str = "json",
@@ -532,6 +532,7 @@ def render_report(
     """
     if not verdicts:
         raise ValueError("no verdicts to render")
+    check_report_format(fmt)
     rows = []
     for v in verdicts:
         claim = CLAIMS_BY_ID[v.claim_id]
@@ -549,29 +550,27 @@ def render_report(
             },
         }
         return json.dumps(doc, indent=2) + "\n"
-    if fmt in ("markdown", "md"):
-        lines = [
-            "# Claim verification report",
-            "",
-            f"Canonical order: `{CANONICAL_ORDER_TAG}`"
-            + (f"; max n requested: {max_n}" if max_n is not None else ""),
-            "",
-            "| claim | status | n tested | statement | details |",
-            "|---|---|---|---|---|",
-        ]
-        def cell(text: str) -> str:
-            return text.replace("|", "\\|")
+    lines = [
+        "# Claim verification report",
+        "",
+        f"Canonical order: `{CANONICAL_ORDER_TAG}`"
+        + (f"; max n requested: {max_n}" if max_n is not None else ""),
+        "",
+        "| claim | status | n tested | statement | details |",
+        "|---|---|---|---|---|",
+    ]
+    def cell(text: str) -> str:
+        return text.replace("|", "\\|")
 
-        for row in rows:
-            ns = row["n_tested"]
-            span = f"{ns[0]}..{ns[-1]}" if ns else "-"
-            details = []
-            if "counterexample" in row:
-                details.append("counterexample: " + json.dumps(row["counterexample"]))
-            details.extend(row["notes"])
-            lines.append(
-                f"| {row['id']} | {row['status']} | {span} "
-                f"| {cell(row['description'])} | {cell('; '.join(details)) or '-'} |"
-            )
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown report format {fmt!r}")
+    for row in rows:
+        ns = row["n_tested"]
+        span = f"{ns[0]}..{ns[-1]}" if ns else "-"
+        details = []
+        if "counterexample" in row:
+            details.append("counterexample: " + json.dumps(row["counterexample"]))
+        details.extend(row["notes"])
+        lines.append(
+            f"| {row['id']} | {row['status']} | {span} "
+            f"| {cell(row['description'])} | {cell('; '.join(details)) or '-'} |"
+        )
+    return "\n".join(lines) + "\n"

@@ -135,6 +135,40 @@ def _replaced_at(n0, value):
     return perturb
 
 
+def _only_at(n0, perturb):
+    # perturbed at n = n0 only, so every other call of fn stays exact
+    def wrap(fn):
+        changed = perturb(fn)
+        return lambda n, **kwargs: changed(n, **kwargs) if n == n0 else fn(n, **kwargs)
+
+    return wrap
+
+
+def _last_clique_dropped(fn):
+    def perturbed(*args, **kwargs):
+        found = fn(*args, **kwargs)
+        return dataclasses.replace(found, cliques=found.cliques[:-1])
+
+    return perturbed
+
+
+def _extra_color(fn):
+    def perturbed(*args, **kwargs):
+        coloring = fn(*args, **kwargs)
+        return dataclasses.replace(coloring, color_count=coloring.color_count + 1)
+
+    return perturbed
+
+
+def _one_color(fn):
+    # every vertex in color 0, with the color count left as it was
+    def perturbed(*args, **kwargs):
+        coloring = fn(*args, **kwargs)
+        return dataclasses.replace(coloring, colors=(0,) * len(coloring.colors))
+
+    return perturbed
+
+
 def _apex_edge_dropped(fn):
     # G(n) without the edge from the first vertex to the full-set vertex
     def perturbed(*args, **kwargs):
@@ -168,11 +202,20 @@ ROUTES = [
     ("C9", "verify.extension_map", _doubled_replica,
      {"n": 1, "expected": "each mask of G(n+1) once", "actual": {"missing": [2], "surplus": [3]}}),
     ("C10", "parameters.clique_number", _plus_one, {"n": 2, "expected": 3, "actual": 2}),
+    ("C10", "parameters.max_cliques", _last_clique_dropped,
+     {"n": 2, "expected": 2, "actual": 1, "witness": {"cliques": [[1, 3]]}}),
     ("C11", "holes.triangle_count_claimed", _plus_one, {"n": 2, "expected": 1, "actual": 0}),
     ("C11", "holes.triangle_count_exact", _plus_one, {"n": 2, "expected": 0, "actual": 1}),
     ("C12", "invariants.tightness_recursion_step", _first_plus_one,
      {"n": 1, "expected": 2, "actual": 1, "witness": {"mask": 1}}),
-    ("C13", "parameters.clique_number", _plus_one, {"n": 1, "expected": 2, "actual": 1}),
+    ("C12", "invariants.tightness_vector", _only_at(2, _first_plus_one),
+     {"n": 1, "expected": 1, "actual": 2, "witness": {"mask": 1}}),
+    ("C13", "parameters.clique_number", _plus_one,
+     {"n": 1, "expected": {"colors": 2}, "actual": {"colors": 1}}),
+    ("C13", "parameters.chromatic_coloring", _extra_color,
+     {"n": 1, "expected": {"colors": 1}, "actual": {"colors": 2}}),
+    ("C13", "parameters.clique_witness", _last_dropped,
+     {"n": 1, "expected": {"clique order": 1}, "actual": {"witness": []}}),
     ("C13", "verify.chromatic_exact", _plus_one, {"n": 1, "expected": 1, "actual": 2}),
     ("C14", "verify.mis_exact", _plus_one, {"n": 1, "expected": 1, "actual": 2}),
     ("C14", "parameters.independence_number", _first_plus_one,
@@ -197,6 +240,18 @@ ROUTES = [
 ]
 
 
+# the notes a refutation carries, by (claim, perturbed function); every other
+# route refutes with none. C10's note holds only when its count check fails,
+# so a failed size check (clique_number) must not carry it.
+_C11_NOTES = ("exact count via exhaustive bit-parallel edge scan",)
+ROUTE_NOTES = {
+    ("C10", "parameters.max_cliques"):
+        ("the clique order 2^(n-1) itself holds at every size tested",),
+    ("C11", "holes.triangle_count_claimed"): _C11_NOTES,
+    ("C11", "holes.triangle_count_exact"): _C11_NOTES,
+}
+
+
 @pytest.mark.parametrize(
     "claim_id, target, perturb, counterexample",
     ROUTES,
@@ -212,6 +267,7 @@ def test_one_perturbed_route_refutes_at_first_size(
     assert verdict.status == REFUTED
     assert verdict.n_tested == (counterexample["n"],)
     assert verdict.counterexample == counterexample
+    assert verdict.notes == ROUTE_NOTES.get((claim_id, target), ())
 
 
 # (claim, perturbed function, perturbation, cap override, sizes swept up to
@@ -224,6 +280,8 @@ LATER_ROUTES = [
       "actual": {"cardinality": 1, "degrees": [0, 1]}}),
     ("C5", "verify.materialize", _apex_edge_dropped, None, (2,),
      {"n": 2, "expected": [2], "actual": []}),
+    ("C13", "parameters.chromatic_coloring", _one_color, None, (1, 2),
+     {"n": 2, "expected": "proper coloring", "actual": {"same color": [1, 3]}}),
     ("C15", "verify.materialize", _apex_edge_dropped, None, (1, 2),
      {"n": 2, "expected": 2, "actual": 1}),
     ("C20", "holes.triangle_count_corrected", _replaced_at(2, 2),

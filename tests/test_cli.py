@@ -22,6 +22,7 @@ from setgraphs import (
     tightness,
     triangle_count_exact,
 )
+from setgraphs import cli, verify
 from setgraphs.cli import (
     invariant_report,
     main,
@@ -161,6 +162,43 @@ def test_refused_build_leaves_out_alone(argv, code, tmp_path):
     kept.write_text("earlier content\n")
     assert run_cli(*argv, "--out", str(kept)) == code
     assert kept.read_text() == "earlier content\n"
+
+
+# stdout sha256 of `setgraph verify --claims all --max-n N --threads 1`,
+# copied from PINNED_DIGESTS in perfbench/run.py (the verify_n12 workload),
+# which the benchmark checks each of its runs against
+VERIFY_DIGESTS = {
+    6: "49affc8205319c00283fe3e96dcc9b338d6353de017fe22281cf01eb7623dff1",
+    12: "72f89ab6dcda9ff81a460d300265c6477dad84e752cd5ae0b8b1f6d0ba4cc73d",
+}
+
+
+@pytest.mark.parametrize("max_n", list(VERIFY_DIGESTS))
+def test_verify_output_is_pinned(max_n, capsys):
+    assert run_cli("verify", "--claims", "all", "--max-n", str(max_n), "--threads", "1") == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[max_n]
+
+
+@pytest.mark.parametrize(
+    "command, checks",
+    [(("verify", "--max-n", "12"), [(verify, "run_claims")]),
+     (("mela",), [(cli, "check_closure"), (cli, "check_divisibility")])],
+    ids=["verify", "mela"],
+)
+def test_bad_report_format_is_refused_before_any_check(
+    command, checks, monkeypatch, tmp_path, capsys
+):
+    ran = []
+    for module, name in checks:
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: ran.append(name))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"format": "xml"}))
+    out = tmp_path / "report.out"
+    assert run_cli("--config", str(config), *command, "--out", str(out)) == 2
+    assert capsys.readouterr().err == "setgraph: unknown report format 'xml'\n"
+    assert ran == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, bad", [("format", ["csv"]), ("out", 5)])

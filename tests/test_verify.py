@@ -1,6 +1,7 @@
 """Registry coverage, verdict determinism, and the pinned regression fixture."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -177,11 +178,27 @@ def test_c13_rejects_a_witness_with_a_disjoint_pair(monkeypatch, n):
     bad = (0b010,) + witness[1:]
     monkeypatch.setattr(parameters, "clique_witness", lambda n, caps: bad)
     target = parameters.clique_number(n)
-    assert verify._c13(n, DEFAULT_CAPS, 4) == {"n": n, "expected": target, "actual": target}
+    assert verify._c13(n, DEFAULT_CAPS, 4) == {
+        "n": n, "expected": {"clique order": target}, "actual": {"witness": list(bad)}}
 
 
 @pytest.mark.parametrize("bad", [lambda w: w[:-1] + w[:1], lambda w: w[:-1] + (1 << 20,)])
 def test_c13_rejects_a_witness_with_a_repeat_or_a_foreign_mask(monkeypatch, bad):
     witness = bad(parameters.clique_witness(5))
     monkeypatch.setattr(parameters, "clique_witness", lambda n, caps: witness)
-    assert verify._c13(5, DEFAULT_CAPS, 4) == {"n": 5, "expected": 16, "actual": 16}
+    assert verify._c13(5, DEFAULT_CAPS, 4) == {
+        "n": 5, "expected": {"clique order": 16}, "actual": {"witness": list(witness)}}
+
+
+def test_c19_bounds_its_range_before_any_work():
+    # 1 << max_n alone would hold 12 MB here; the range stops at 16 vertices
+    # for every max_n >= 4
+    expected = run_claims("C19", 4)
+    tracemalloc.start()
+    try:
+        got = run_claims("C19", 10**8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < 1 << 20
