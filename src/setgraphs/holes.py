@@ -34,17 +34,20 @@ ground set maps G(n) onto itself and any k-subset onto any other, so every
 vertex of cardinality k has the same degree and the same incidence t_k. The
 route runs the per-vertex identity above at one vertex per cardinality,
 (1 << k) - 1, in mask space: the complement row of a mask w is the indicator
-of the non-empty submasks of ~w, built by doubling, one row at a time, and
-the degrees come from the popcounts of those rows. That is about 2^n
-neighbour rows in all, against the ~0.26M complement edges that
-primitive_degrees reads at n = 12. h_exact is a third of
-sum_k C(n,k) * t_k, and a sum that is not a multiple of 3 raises ValueError.
-The route reads no closed form, so h_exact stays independent of the
-corrected recursion; primitive_degrees on full rows stays the test that the
-symmetry assumption holds. hole_report is also where `setgraph invariants`
-reads its triangle fields. The Goodman kernel stays the route for claims C11
-and C20, the n = 13 acceptance gate and the tests, which compare it with
-primitive_degrees, the per-size route and hole_report.
+of the non-empty submasks of ~w, and the degrees come from the popcounts of
+those rows. The representatives' neighbours are the 2^(n-1) - 1 non-empty
+subsets of {a_2, ..., a_n}. One depth-first walk builds each of their rows
+once, by one shift-or of its parent's row, and reads it for every size it
+neighbours, with O(n^2) rows on its stack: about 2^n ANDs in all, against
+the ~0.26M complement edges that primitive_degrees reads at n = 12.
+h_exact is a third of sum_k C(n,k) * t_k, and a sum that is not a multiple
+of 3 raises ValueError. The route reads no closed form, so h_exact stays
+independent of the corrected recursion; primitive_degrees on full rows
+stays the test that the symmetry assumption holds. hole_report is also
+where `setgraph invariants` reads its triangle fields. The Goodman kernel
+stays the route for claims C11 and C20, the n = 13 acceptance gate and the
+tests, which compare it with primitive_degrees, the per-size route and
+hole_report.
 """
 
 from __future__ import annotations
@@ -223,6 +226,11 @@ def _incidence(v: int, edges: int, d: int, far: int, shared: int) -> int:
     return edges - d - far + comb(v - 1 - d, 2) - shared // 2
 
 
+def _with_element(row: int, b: int) -> int:
+    """A submask indicator once element b joins its free set: one shift-or."""
+    return row | row << (1 << b)
+
+
 def _submask_row(free: int) -> int:
     """Indicator of the non-empty submasks of free, bit x for mask x.
 
@@ -231,7 +239,7 @@ def _submask_row(free: int) -> int:
     """
     row = 1
     for b in _bit_positions(free):
-        row |= row << (1 << b)
+        row = _with_element(row, b)
     return row ^ 1
 
 
@@ -240,11 +248,20 @@ def _incidence_by_size(n: int) -> tuple[int, ...]:
 
     Every k-subset has incidence t_k (the module docstring says why). The
     per-vertex identity of primitive_degrees runs at each representative
-    over its 2^(n-k) - 1 complement neighbours, whose rows are built one at
-    a time and dropped; |E| is half of sum_k C(n,k) * d_k. Degrees are read
-    from the popcounts of the rows, not from a closed form. An odd doubled
-    edge count or complement incidence, or a negative incidence, raises
-    ValueError.
+    over its 2^(n-k) - 1 complement neighbours w, the non-empty subsets of
+    the elements above its own. Every such w is a non-empty subset of
+    {a_2, ..., a_n}, and a w whose lowest element is a_(L+1) neighbours the
+    representatives of the sizes k <= L. So one depth-first walk visits
+    each w once, reads its row once and credits every size it neighbours.
+    The walk starts at w = {a_2, ..., a_n}, whose free set is {a_1}, and
+    each child drops from w one element above the last one dropped, which
+    joins the free set: the child's row is one shift-or of its parent's.
+    Walk rows keep the empty mask (bit 0), which the representative rows
+    drop, so the ANDs are unaffected and d(w) = V - popcount(row).
+
+    |E| is half of sum_k C(n,k) * d_k. Degrees are read from the popcounts
+    of the rows, not from a closed form. An odd doubled edge count or
+    complement incidence, or a negative incidence, raises ValueError.
     """
     full = (1 << n) - 1
     v = full  # 2^n - 1 vertices
@@ -254,14 +271,21 @@ def _incidence_by_size(n: int) -> tuple[int, ...]:
     if twice_edges % 2:
         raise ValueError("odd doubled edge count")
     edges = twice_edges // 2
-    out = []
-    for d, row in zip(degrees, rep_rows):
-        far = shared = 0
-        for w in _bit_positions(row):
-            row_w = _submask_row(full ^ w)
-            far += v - 1 - row_w.bit_count()
-            shared += (row & row_w).bit_count()
-        out.append(_incidence(v, edges, d, far, shared))
+    far = [0] * n
+    shared = [0] * n
+    # (row of w, w, the elements of w above the last one dropped)
+    stack = [(0b11, full ^ 1, full ^ 1)]
+    while stack:
+        row, w, rest = stack.pop()
+        d = v - row.bit_count()
+        for i in range((w & -w).bit_length() - 1):
+            far[i] += d
+            shared[i] += (rep_rows[i] & row).bit_count()
+        for b in _bit_positions(rest):
+            rest ^= 1 << b
+            if w != 1 << b:
+                stack.append((_with_element(row, b), w ^ 1 << b, rest))
+    out = [_incidence(v, edges, d, f, s) for d, f, s in zip(degrees, far, shared)]
     if min(out, default=0) < 0:
         raise ValueError("negative triangle incidence")
     return tuple(out)

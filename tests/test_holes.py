@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from functools import cached_property
 from itertools import combinations
@@ -29,7 +30,7 @@ from setgraphs import (
 from setgraphs import core, holes, invariants
 from setgraphs.config import DEFAULT_CAPS
 from setgraphs.core import Graph
-from setgraphs.holes import _complement_triangles, _incidence_by_size, _submask_row
+from setgraphs.holes import _complement_triangles, _incidence_by_size
 
 # frozen from exhaustive triple enumeration
 EXACT = {1: 0, 2: 0, 3: 13, 4: 222, 5: 2585, 6: 25830, 7: 238833}
@@ -332,10 +333,27 @@ def test_incidence_by_size_matches_full_rows():
         assert _by_size_histogram(n) == Counter(primitive_degrees(materialize(n)))
 
 
+def _incidence_closed(n: int, k: int) -> int:
+    """Independent oracle: the triangle incidence t_k of a k-subset S.
+
+    Count the ordered pairs (B, C) of subsets that meet S and each other,
+    by inclusion-exclusion over the three "disjoint" events, each element
+    of S or of its r = n - k outsiders in one of 4 regions of B and C: P.
+    Then drop the pairs with B = C or with S among them, and halve.
+    """
+    r = n - k
+    p = 4**n - 2 * 2**k * 4**r - 3**n + 4**r + 2 * 2**k * 3**r - 3**r
+    twice = p - 3 * (2**k - 1) * 2**r + 2
+    assert twice % 2 == 0
+    return twice // 2
+
+
 def test_incidence_by_size_sums_to_three_h():
-    # both references are closed forms; the per-size route reads neither
+    # every reference is a closed form; the per-size route reads none, and
+    # each t_k is checked on its own, not only through the sum
     for n in range(1, 16):
         incidence = _incidence_by_size(n)
+        assert incidence == tuple(_incidence_closed(n, k) for k in range(1, n + 1))
         tripled = sum(comb(n, k) * t for k, t in enumerate(incidence, 1))
         assert tripled == 3 * triangle_count_corrected(n)
         assert tripled == 3 * _h_by_complement_counting(n)
@@ -352,6 +370,36 @@ def test_incidence_by_size_reads_no_closed_form(monkeypatch):
         monkeypatch.setattr(invariants, name, refuse)
         monkeypatch.setattr(holes, name, refuse)
     assert _incidence_by_size(3) == (3, 7, 9)
+
+
+def test_incidence_by_size_takes_one_row_step_per_neighbour_row(monkeypatch):
+    # the walk builds each of the 2^(n-1) - 1 neighbour rows once, the root
+    # by hand and every other one by one shift-or of its parent's row; the
+    # representative rows of _submask_row take n - k steps each
+    steps = []
+    real = holes._with_element
+
+    def counted(row, b):
+        steps.append(b)
+        return real(row, b)
+
+    monkeypatch.setattr(holes, "_with_element", counted)
+    for n in (5, 8, 12):
+        steps.clear()
+        _incidence_by_size(n)
+        assert len(steps) == (1 << (n - 1)) - 2 + comb(n, 2)
+
+
+def test_incidence_by_size_keeps_few_rows():
+    # the walk's stack holds O(n^2) rows, not one per neighbour: at n = 16 a
+    # row is up to 8 KiB and there are 32767 neighbour rows
+    tracemalloc.start()
+    try:
+        _incidence_by_size(16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 19
 
 
 def test_claimed_recursion_pinned():
@@ -499,24 +547,28 @@ def test_hole_report_rejects_incidences_that_are_not_three_h(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "skewed_free, extra_mask, message",
+    "name, skewed_args, extra_mask, message",
     [
-        # the row of {a1, a2} in G(3) gains {a2}, which also lies in the row
-        # of {a1}: the doubled complement incidence of {a1} turns odd
-        (0b001, 0b010, "odd doubled complement incidence"),
-        # the row of the full set gains {a1}: the one apex loses a degree
-        (0b000, 0b001, "odd doubled edge count"),
+        # the walk's step to the row of {a3} in G(3) (free set {a1, a2})
+        # gains {a2, a3}, which also lies in the row of {a1}: the doubled
+        # complement incidence of {a1} turns odd
+        ("_with_element", (0b11, 1), 0b110, "odd doubled complement incidence"),
+        # the representative row of the full set gains {a1}: the one apex
+        # loses a degree
+        ("_submask_row", (0b000,), 0b001, "odd doubled edge count"),
     ],
     ids=["complement-incidence", "edge-count"],
 )
 def test_incidence_by_size_rejects_odd_doubled_sums(
-    monkeypatch, skewed_free, extra_mask, message
+    monkeypatch, name, skewed_args, extra_mask, message
 ):
-    def skewed(free):
-        row = _submask_row(free)
-        return row | 1 << extra_mask if free == skewed_free else row
+    real = getattr(holes, name)
 
-    monkeypatch.setattr(holes, "_submask_row", skewed)
+    def skewed(*args):
+        row = real(*args)
+        return row | 1 << extra_mask if args == skewed_args else row
+
+    monkeypatch.setattr(holes, name, skewed)
     with pytest.raises(ValueError, match=message):
         hole_report(3)
 
@@ -529,14 +581,16 @@ import hashlib, json
 from setgraphs import holes, hole_report
 text = json.dumps(hole_report(12).as_dict()) + "\\n"
 print(hashlib.sha256(text.encode()).hexdigest())
-real = holes._submask_row
-holes._submask_row = lambda free: real(free) | 1 << 2 if free == 1 else real(free)
+real = holes._with_element
+def skewed(row, b):
+    return real(row, b) | 1 << 6 if (row, b) == (3, 1) else real(row, b)
+holes._with_element = skewed
 try:
     hole_report(3)
     raise SystemExit("no error from an odd doubled complement incidence")
 except ValueError:
     pass
-holes._submask_row = real
+holes._with_element = real
 holes._incidence_by_size = lambda n: (3, 7, 10)
 try:
     hole_report(3)
