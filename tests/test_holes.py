@@ -336,10 +336,11 @@ def test_incidence_by_size_matches_full_rows():
 def _incidence_closed(n: int, k: int) -> int:
     """Independent oracle: the triangle incidence t_k of a k-subset S.
 
-    Count the ordered pairs (B, C) of subsets that meet S and each other,
-    by inclusion-exclusion over the three "disjoint" events, each element
-    of S or of its r = n - k outsiders in one of 4 regions of B and C: P.
-    Then drop the pairs with B = C or with S among them, and halve.
+    P counts the ordered pairs (B, C) of subsets that meet S and each
+    other: put each element in one of the 4 regions of B and C, and apply
+    inclusion-exclusion over the three "disjoint" events (B misses S, C
+    misses S, B misses C), with r = n - k elements outside S. Then drop the
+    pairs with B = C or with S among them, and halve. It reads no rows.
     """
     r = n - k
     p = 4**n - 2 * 2**k * 4**r - 3**n + 4**r + 2 * 2**k * 3**r - 3**r
@@ -573,30 +574,45 @@ def test_incidence_by_size_rejects_odd_doubled_sums(
         hole_report(3)
 
 
+def test_incidence_by_size_rejects_a_negative_incidence(monkeypatch):
+    # every walk row of G(3) loses its odd masks, which lie in no
+    # representative's row: the doubled sums stay even, but the degrees of
+    # {a2} and {a3} rise by 2 each, and t_1 falls from 3 to -1
+    real = holes._with_element
+    monkeypatch.setattr(holes, "_with_element", lambda row, b: real(row, b) & 0b1010101)
+    with pytest.raises(ValueError, match="negative triangle incidence"):
+        _incidence_by_size(3)
+
+
 def test_hole_report_bytes_and_guards_hold_under_optimize_flag(child_env):
-    # the digest of test_hole_report_12_pinned, and both guards raising by
-    # themselves, not through an assert that -O drops
+    # the digest of test_hole_report_12_pinned, and every guard raising by
+    # itself, not through an assert that -O drops; each skew is one of the
+    # tests above
     code = """
 import hashlib, json
 from setgraphs import holes, hole_report
 text = json.dumps(hole_report(12).as_dict()) + "\\n"
 print(hashlib.sha256(text.encode()).hexdigest())
-real = holes._with_element
-def skewed(row, b):
-    return real(row, b) | 1 << 6 if (row, b) == (3, 1) else real(row, b)
-holes._with_element = skewed
-try:
-    hole_report(3)
-    raise SystemExit("no error from an odd doubled complement incidence")
-except ValueError:
-    pass
-holes._with_element = real
-holes._incidence_by_size = lambda n: (3, 7, 10)
-try:
-    hole_report(3)
-    raise SystemExit("no error from incidences that are not 3h")
-except ValueError:
-    pass
+with_element, submask_row = holes._with_element, holes._submask_row
+skews = [
+    ("odd doubled complement incidence", "_with_element",
+     lambda row, b: with_element(row, b) | (1 << 6 if (row, b) == (3, 1) else 0)),
+    ("odd doubled edge count", "_submask_row",
+     lambda free: submask_row(free) | (free == 0) << 1),
+    ("negative triangle incidence", "_with_element",
+     lambda row, b: with_element(row, b) & 0b1010101),
+    ("multiple of 3", "_incidence_by_size", lambda n: (3, 7, 10)),
+]
+for message, name, skewed in skews:
+    real = getattr(holes, name)
+    setattr(holes, name, skewed)
+    try:
+        hole_report(3)
+        raise SystemExit(f"no error: {message}")
+    except ValueError as exc:
+        if message not in str(exc):
+            raise
+    setattr(holes, name, real)
 """
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=child_env
