@@ -12,8 +12,9 @@ A JSON config file (--config) may preset max_n, threads, format, out, and cap
 overrides; explicit flags win. max_n, max_index and threads must be plain
 integers. threads (and --threads) is accepted and ignored by every command:
 each one runs on a single thread. Exit codes: 0 success, 2 usage error,
-3 resource-guard refusal, 1 other execution errors. Refuted claims are
-findings, not errors: verify still exits 0.
+3 resource-guard refusal, 4 two routes to one value disagree (a fault in the
+program), 1 other execution errors. Refuted claims are findings, not
+errors: verify still exits 0.
 """
 
 from __future__ import annotations
@@ -27,7 +28,14 @@ from typing import Iterator, TextIO
 
 from . import holes, invariants, parameters, verify
 from .mela import check_closure, check_divisibility, mela as mela_sequence
-from .config import CANONICAL_ORDER_TAG, DEFAULT_CAPS, CapExceeded, Caps, check_int
+from .config import (
+    CANONICAL_ORDER_TAG,
+    DEFAULT_CAPS,
+    CapExceeded,
+    Caps,
+    RouteMismatch,
+    check_int,
+)
 from .core import (
     _meeting_runs,
     canonical_masks,
@@ -338,6 +346,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"setgraph: {exc}", file=sys.stderr)
         return 2
+    except RouteMismatch as exc:
+        print(f"setgraph: routes disagree: {exc}", file=sys.stderr)
+        return 4
     except OSError as exc:
         print(f"setgraph: {exc}", file=sys.stderr)
         return 1

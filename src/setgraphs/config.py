@@ -18,6 +18,10 @@ class CapExceeded(ValueError):
     """A requested computation exceeds its configured resource cap."""
 
 
+class RouteMismatch(RuntimeError):
+    """Two routes to one value disagree: a fault in the program, not its input."""
+
+
 def check_int(what: str, value, minimum: int = 0) -> int:
     """Return value if it is an int (bool excluded) of at least minimum, else raise ValueError."""
     if type(value) is not int or value < minimum:

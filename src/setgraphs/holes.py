@@ -35,16 +35,18 @@ vertex of cardinality k has the same degree and the same incidence t_k. The
 route runs the per-vertex identity above at one vertex per cardinality,
 (1 << k) - 1, in mask space: the complement row of a mask w is the indicator
 of the non-empty submasks of ~w, and the degrees come from the popcounts of
-those rows. The representatives' neighbours are the 2^(n-1) - 1 non-empty
-subsets of {a_2, ..., a_n}. One depth-first walk builds each of their rows
-once, by one shift-or of its parent's row, and reads it for every size it
-neighbours, with O(n^2) rows on its stack: about 2^n ANDs in all, against
-the ~0.26M complement edges that primitive_degrees reads at n = 12.
-h_exact is a third of sum_k C(n,k) * t_k, and a sum that is not a multiple
-of 3 raises ValueError. The route reads no closed form, so h_exact stays
-independent of the corrected recursion; primitive_degrees on full rows
-stays the test that the symmetry assumption holds. hole_report is also
-where `setgraph invariants` reads its triangle fields. The Goodman kernel
+those rows. Every row is one shift-or of another. The representatives'
+rows form a chain of n - 1 shift-ors from the apex's. Their neighbours are
+the 2^(n-1) - 1 non-empty subsets of {a_2, ..., a_n}, and one depth-first
+walk builds each of their rows once, from its parent's, and reads it for
+every size it neighbours, with O(n^2) rows on its stack: about 2^n ANDs in
+all. h_exact is a third of sum_k C(n,k) * t_k, and a sum that is not a
+multiple of 3 raises ValueError. The route reads no closed form, so h_exact
+stays independent of the corrected recursion, and hole_report compares the
+two: h_exact with h_corrected, and t_n with apex_primitive_degree. A
+mismatch raises RouteMismatch. primitive_degrees on full rows stays the test
+that the symmetry assumption holds. hole_report is also where `setgraph
+invariants` reads its triangle fields. The Goodman kernel
 stays the route for claims C11 and C20, the n = 13 acceptance gate and the
 tests, which compare it with primitive_degrees, the per-size route and
 hole_report.
@@ -52,10 +54,10 @@ hole_report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 
-from .config import DEFAULT_CAPS, CapExceeded, Caps
+from .config import DEFAULT_CAPS, CapExceeded, Caps, RouteMismatch
 from .core import Graph, _bit_positions, canonical_index, check_ground_size
 from .invariants import degree_closed, edge_count_closed
 
@@ -206,41 +208,34 @@ def primitive_degrees(g: Graph) -> tuple[int, ...]:
             far[w] += du
         shared[u] += shared_u
         far[u] += far_u
+    return _incidences(v, edges, degrees, far, shared)
+
+
+def _incidences(v: int, edges: int, degrees, far, shared) -> tuple[int, ...]:
+    """The per-vertex identity at each vertex: its triangles, from its degree.
+
+    far[i] is the summed degree of vertex i's complement neighbours and
+    shared[i] the summed |comp[v] & comp[w]| over them, twice its complement
+    triangles. An odd shared or a negative incidence raises ValueError.
+    """
+    if any(s % 2 for s in shared):
+        raise ValueError("rows are not symmetric: odd doubled complement incidence")
     out = tuple(
-        _incidence(v, edges, d, f, s) for d, f, s in zip(degrees, far, shared)
+        edges - d - f + comb(v - 1 - d, 2) - s // 2
+        for d, f, s in zip(degrees, far, shared)
     )
     if min(out, default=0) < 0:
         raise ValueError("rows are not symmetric: negative triangle incidence")
     return out
 
 
-def _incidence(v: int, edges: int, d: int, far: int, shared: int) -> int:
-    """The per-vertex identity: triangles at a vertex of degree d.
-
-    far is the summed degree of its complement neighbours and shared the
-    summed |comp[v] & comp[w]| over them, twice its complement triangles;
-    an odd shared raises ValueError.
-    """
-    if shared % 2:
-        raise ValueError("rows are not symmetric: odd doubled complement incidence")
-    return edges - d - far + comb(v - 1 - d, 2) - shared // 2
-
-
 def _with_element(row: int, b: int) -> int:
-    """A submask indicator once element b joins its free set: one shift-or."""
-    return row | row << (1 << b)
+    """A submask indicator once element b joins its free set: one shift-or.
 
-
-def _submask_row(free: int) -> int:
-    """Indicator of the non-empty submasks of free, bit x for mask x.
-
-    This is the complement row, in mask space, of the mask whose bits
-    outside free are all set: each element of free doubles the submasks.
+    Bit x of the row marks mask x; each element of the free set doubles the
+    submasks, so the row of the empty free set is 1, the empty mask alone.
     """
-    row = 1
-    for b in _bit_positions(free):
-        row = _with_element(row, b)
-    return row ^ 1
+    return row | row << (1 << b)
 
 
 def _incidence_by_size(n: int) -> tuple[int, ...]:
@@ -256,8 +251,11 @@ def _incidence_by_size(n: int) -> tuple[int, ...]:
     The walk starts at w = {a_2, ..., a_n}, whose free set is {a_1}, and
     each child drops from w one element above the last one dropped, which
     joins the free set: the child's row is one shift-or of its parent's.
-    Walk rows keep the empty mask (bit 0), which the representative rows
-    drop, so the ANDs are unaffected and d(w) = V - popcount(row).
+    The representative of size k has the free set {a_(k+1), ..., a_n}, so
+    its row is the row of size k + 1 with a_(k+1) joined: a chain of n - 1
+    shift-ors from the apex row, 1, builds all n of them. Walk rows keep the
+    empty mask (bit 0), which the representative rows drop, so the ANDs are
+    unaffected and d(w) = V - popcount(row).
 
     |E| is half of sum_k C(n,k) * d_k. Degrees are read from the popcounts
     of the rows, not from a closed form. An odd doubled edge count or
@@ -265,7 +263,10 @@ def _incidence_by_size(n: int) -> tuple[int, ...]:
     """
     full = (1 << n) - 1
     v = full  # 2^n - 1 vertices
-    rep_rows = [_submask_row(full ^ ((1 << k) - 1)) for k in range(1, n + 1)]
+    chain = [1]  # sizes n, n - 1, ..., 1
+    for b in range(n - 1, 0, -1):
+        chain.append(_with_element(chain[-1], b))
+    rep_rows = [row ^ 1 for row in reversed(chain)]
     degrees = [v - 1 - row.bit_count() for row in rep_rows]
     twice_edges = sum(comb(n, k) * d for k, d in enumerate(degrees, 1))
     if twice_edges % 2:
@@ -285,10 +286,7 @@ def _incidence_by_size(n: int) -> tuple[int, ...]:
             rest ^= 1 << b
             if w != 1 << b:
                 stack.append((_with_element(row, b), w ^ 1 << b, rest))
-    out = [_incidence(v, edges, d, f, s) for d, f, s in zip(degrees, far, shared)]
-    if min(out, default=0) < 0:
-        raise ValueError("negative triangle incidence")
-    return tuple(out)
+    return _incidences(v, edges, degrees, far, shared)
 
 
 def apex_primitive_degree(n: int, *, caps: Caps = DEFAULT_CAPS) -> int:
@@ -313,17 +311,11 @@ class HoleReport:
     primitive_degree_histogram: dict[int, int] | None
 
     def as_dict(self) -> dict:
+        out = asdict(self)
         hist = self.primitive_degree_histogram
-        return {
-            "n": self.n,
-            "h_exact": self.h_exact,
-            "h_paper_formula": self.h_paper_formula,
-            "h_corrected": self.h_corrected,
-            "apex_primitive_degree": self.apex_primitive_degree,
-            "primitive_degree_histogram": (
-                None if hist is None else {str(k): hist[k] for k in sorted(hist)}
-            ),
-        }
+        if hist is not None:
+            out["primitive_degree_histogram"] = {str(k): hist[k] for k in sorted(hist)}
+        return out
 
 
 def hole_report(n: int, *, threads: int = 1, caps: Caps = DEFAULT_CAPS) -> HoleReport:
@@ -335,6 +327,9 @@ def hole_report(n: int, *, threads: int = 1, caps: Caps = DEFAULT_CAPS) -> HoleR
     divisibility by 3. No graph is materialized: permuting the ground set
     preserves G(n) and moves any k-subset onto any other, so the vertices of
     one size share one incidence (the module docstring has the route).
+    h_exact must equal h_corrected where both are computed, and t_n the
+    apex incidence |E| - max degree; a mismatch raises RouteMismatch, which
+    names n and both routes.
 
     The gate n <= min(triangle_exact_max_n, materialize_max_n) is interim:
     the route needs neither cap, but keeping their gate keeps every report
@@ -347,6 +342,7 @@ def hole_report(n: int, *, threads: int = 1, caps: Caps = DEFAULT_CAPS) -> HoleR
     ``hole_report(n, threads=1)``.
     """
     check_ground_size(n, caps.count_max_n)
+    apex = apex_primitive_degree(n, caps=caps)
     h_exact = None
     histogram = None
     if n <= min(caps.triangle_exact_max_n, caps.materialize_max_n):
@@ -357,15 +353,25 @@ def hole_report(n: int, *, threads: int = 1, caps: Caps = DEFAULT_CAPS) -> HoleR
         h_exact, rest = divmod(sum(t * count for t, count in histogram.items()), 3)
         if rest:
             raise ValueError("triangle incidences do not sum to a multiple of 3")
+        if incidence[-1] != apex:
+            raise RouteMismatch(
+                f"n={n}: the per-size walk gives the apex incidence {incidence[-1]}, "
+                f"|E| - max degree gives {apex}"
+            )
     claimed = triangle_count_claimed(n, caps=caps) if n >= 2 else None
     corrected = (
         triangle_count_corrected(n, caps=caps) if n <= caps.corrected_max_n else None
     )
+    if None not in (h_exact, corrected) and h_exact != corrected:
+        raise RouteMismatch(
+            f"n={n}: the per-size incidences give h_exact = {h_exact}, "
+            f"the corrected recursion gives {corrected}"
+        )
     return HoleReport(
         n=n,
         h_exact=h_exact,
         h_paper_formula=claimed,
         h_corrected=corrected,
-        apex_primitive_degree=apex_primitive_degree(n, caps=caps),
+        apex_primitive_degree=apex,
         primitive_degree_histogram=histogram,
     )

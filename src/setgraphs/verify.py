@@ -122,6 +122,10 @@ def _c2(n: int, caps: Caps, top: int | None) -> dict | None:
         if len(seen) != 1:
             return {"n": n, "expected": "one degree per cardinality",
                     "actual": {"cardinality": k, "degrees": sorted(seen)}}
+        formula = invariants.degree_inclusion_exclusion(n, (1 << k) - 1)
+        if seen != {formula}:
+            return {"n": n, "expected": formula,
+                    "actual": {"cardinality": k, "degrees": sorted(seen)}}
 
 
 def _c3(n: int, caps: Caps, top: int | None) -> dict | None:

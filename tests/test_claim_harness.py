@@ -183,6 +183,8 @@ def _apex_edge_dropped(fn):
 ROUTES = [
     ("C1", "verify.vertex_count", _plus_one, {"n": 1, "expected": 1, "actual": 2}),
     ("C1", "verify.canonical_masks", _last_dropped, {"n": 1, "expected": 1, "actual": 0}),
+    ("C2", "invariants.degree_inclusion_exclusion", _plus_one,
+     {"n": 1, "expected": 1, "actual": {"cardinality": 1, "degrees": [0]}}),
     ("C3", "invariants.degree_closed", _plus_one, {"n": 1, "expected": [0, 0], "actual": 1}),
     ("C3", "invariants.degree_extremes", _last_plus_one,
      {"n": 1, "expected": [0, 1], "actual": [0, 0]}),

@@ -320,6 +320,37 @@ def test_only_verify_builds_graphs(builds):
     assert builds
 
 
+def test_route_mismatch_exits_4_with_one_line(monkeypatch, capsys):
+    # a fault in the program, not bad input: not the usage error's exit 2
+    real = holes.triangle_count_corrected
+    monkeypatch.setattr(holes, "triangle_count_corrected", lambda *a, **k: real(*a, **k) + 1)
+    assert run_cli("invariants", "3") == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "setgraph: routes disagree: n=3: the per-size incidences give h_exact = 13, "
+        "the corrected recursion gives 14\n"
+    )
+
+
+def test_route_mismatch_exits_4_in_a_child(child_env):
+    # the skewed walk row of test_hole_report_rejects_a_skewed_row_that_passes_every_guard
+    code = """
+import sys
+from setgraphs import cli, holes
+real = holes._with_element
+holes._with_element = lambda row, b: real(row, b) | (1 << 5 if (row, b) == (3, 1) else 0)
+sys.exit(cli.main(["invariants", "3"]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("setgraph: routes disagree: n=3: ")
+
+
 def test_invariants_exact_triangles_equal_the_kernel():
     # invariant_report no longer runs the Goodman kernel; it must still agree
     for n in range(1, 12):

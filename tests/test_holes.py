@@ -14,6 +14,7 @@ import pytest
 
 from setgraphs import (
     CapExceeded,
+    RouteMismatch,
     apex_primitive_degree,
     edge_count_brute,
     edge_count_closed,
@@ -376,7 +377,7 @@ def test_incidence_by_size_reads_no_closed_form(monkeypatch):
 def test_incidence_by_size_takes_one_row_step_per_neighbour_row(monkeypatch):
     # the walk builds each of the 2^(n-1) - 1 neighbour rows once, the root
     # by hand and every other one by one shift-or of its parent's row; the
-    # representative rows of _submask_row take n - k steps each
+    # n representative rows are a chain of n - 1 shift-ors from the apex row
     steps = []
     real = holes._with_element
 
@@ -388,7 +389,7 @@ def test_incidence_by_size_takes_one_row_step_per_neighbour_row(monkeypatch):
     for n in (5, 8, 12):
         steps.clear()
         _incidence_by_size(n)
-        assert len(steps) == (1 << (n - 1)) - 2 + comb(n, 2)
+        assert len(steps) == (1 << (n - 1)) - 2 + (n - 1)
 
 
 def test_incidence_by_size_keeps_few_rows():
@@ -554,9 +555,10 @@ def test_hole_report_rejects_incidences_that_are_not_three_h(monkeypatch):
         # gains {a2, a3}, which also lies in the row of {a1}: the doubled
         # complement incidence of {a1} turns odd
         ("_with_element", (0b11, 1), 0b110, "odd doubled complement incidence"),
-        # the representative row of the full set gains {a1}: the one apex
-        # loses a degree
-        ("_submask_row", (0b000,), 0b001, "odd doubled edge count"),
+        # the chain's row of size 2 gains {a1}, and its step to the row of
+        # size 1 adds {a1} and {a1, a2}: the three pairs lose one degree
+        # each and the three singletons two, an odd change of the sum
+        ("_with_element", (1, 2), 0b001, "odd doubled edge count"),
     ],
     ids=["complement-incidence", "edge-count"],
 )
@@ -574,6 +576,43 @@ def test_incidence_by_size_rejects_odd_doubled_sums(
         hole_report(3)
 
 
+def test_hole_report_rejects_a_skewed_row_that_passes_every_guard(monkeypatch):
+    # the walk's row of {a3} in G(3) gains {a1, a3}, which lies in no
+    # representative's row: every doubled sum stays even and every incidence
+    # non-negative, but d({a3}) falls by one, t_1 and t_2 rise by one each
+    # and h_exact comes out 15, not 13
+    real = holes._with_element
+
+    def skewed(row, b):
+        return real(row, b) | (1 << 0b101 if (row, b) == (0b11, 1) else 0)
+
+    monkeypatch.setattr(holes, "_with_element", skewed)
+    with pytest.raises(
+        RouteMismatch, match=r"n=3: .* h_exact = 15, the corrected recursion gives 13"
+    ):
+        hole_report(3)
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("triangle_count_corrected", r"n=3: .* h_exact = 13, the corrected recursion gives 14"),
+        ("apex_primitive_degree", r"n=3: .* apex incidence 9, \|E\| - max degree gives 10"),
+    ],
+)
+def test_hole_report_rejects_a_formula_route_off_by_one(monkeypatch, name, message):
+    real = getattr(holes, name)
+    monkeypatch.setattr(holes, name, lambda *args, **kwargs: real(*args, **kwargs) + 1)
+    with pytest.raises(RouteMismatch, match=message):
+        hole_report(3)
+
+
+def test_hole_report_compares_only_the_routes_it_computes():
+    # above corrected_max_n there is no h_corrected to compare with
+    rep = hole_report(3, caps=DEFAULT_CAPS.with_overrides(corrected_max_n=2))
+    assert (rep.h_exact, rep.h_corrected) == (13, None)
+
+
 def test_incidence_by_size_rejects_a_negative_incidence(monkeypatch):
     # every walk row of G(3) loses its odd masks, which lie in no
     # representative's row: the doubled sums stay even, but the degrees of
@@ -585,31 +624,33 @@ def test_incidence_by_size_rejects_a_negative_incidence(monkeypatch):
 
 
 def test_hole_report_bytes_and_guards_hold_under_optimize_flag(child_env):
-    # the digest of test_hole_report_12_pinned, and every guard raising by
-    # itself, not through an assert that -O drops; each skew is one of the
-    # tests above
+    # the digest of test_hole_report_12_pinned, and every guard and route
+    # comparison raising by itself, not through an assert that -O drops;
+    # each skew is one of the tests above
     code = """
 import hashlib, json
-from setgraphs import holes, hole_report
+from setgraphs import RouteMismatch, holes, hole_report
 text = json.dumps(hole_report(12).as_dict()) + "\\n"
 print(hashlib.sha256(text.encode()).hexdigest())
-with_element, submask_row = holes._with_element, holes._submask_row
+with_element = holes._with_element
 skews = [
-    ("odd doubled complement incidence", "_with_element",
+    (ValueError, "odd doubled complement incidence", "_with_element",
      lambda row, b: with_element(row, b) | (1 << 6 if (row, b) == (3, 1) else 0)),
-    ("odd doubled edge count", "_submask_row",
-     lambda free: submask_row(free) | (free == 0) << 1),
-    ("negative triangle incidence", "_with_element",
+    (ValueError, "odd doubled edge count", "_with_element",
+     lambda row, b: with_element(row, b) | ((row, b) == (1, 2)) << 1),
+    (ValueError, "negative triangle incidence", "_with_element",
      lambda row, b: with_element(row, b) & 0b1010101),
-    ("multiple of 3", "_incidence_by_size", lambda n: (3, 7, 10)),
+    (ValueError, "multiple of 3", "_incidence_by_size", lambda n: (3, 7, 10)),
+    (RouteMismatch, "h_exact = 15, the corrected recursion gives 13", "_with_element",
+     lambda row, b: with_element(row, b) | (1 << 5 if (row, b) == (3, 1) else 0)),
 ]
-for message, name, skewed in skews:
+for error, message, name, skewed in skews:
     real = getattr(holes, name)
     setattr(holes, name, skewed)
     try:
         hole_report(3)
         raise SystemExit(f"no error: {message}")
-    except ValueError as exc:
+    except error as exc:
         if message not in str(exc):
             raise
     setattr(holes, name, real)
