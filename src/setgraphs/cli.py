@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -60,6 +61,10 @@ def _write_edges(fh: TextIO, n: int, names: list[str], edge: str, between: str =
     Consecutive edges are separated by `between`. One chunk is written per
     u: the names of the masks meeting u above it, sliced from `names` by the
     runs of `_meeting_runs` and joined, so no per-edge formatting happens.
+    It serves DOT and JSON; CSV has its own writer, `render_csv`, whose
+    short lines make the list entry and join per edge here the larger part
+    of the cost. On DOT's and JSON's longer lines `render_csv`'s byte-wise
+    digit pass costs more than it saves.
     """
     head, tail = edge.split("{v}")
     lead = ""
@@ -83,10 +88,34 @@ def render_dot(n: int, fh: TextIO, *, caps: Caps = DEFAULT_CAPS) -> None:
     fh.write("}\n")
 
 
+# the 244 bytes no CSV line holds, one per digit of u: they run out only for
+# a u of 245 digits, in a graph of more than 2^810 vertices
+_STAND_INS = bytes(sorted(set(range(256)).difference(b"0123456789,\n")))
+
+
 def render_csv(n: int, fh: TextIO, *, caps: Caps = DEFAULT_CAPS) -> None:
-    """Write the edges of G(n) to fh as 'u,v' mask rows, u < v, sorted."""
+    """Write the edges of G(n) to fh as 'u,v' mask rows, u < v, sorted.
+
+    The lines of u are slices of one text holding every v's line
+    '<stand-ins>,v\\n' in mask order, with one stand-in byte per digit of u:
+    one slice per run of `_meeting_runs`, so there is no Python object per
+    edge. The slices are joined and one `bytes.translate` writes u's digits
+    over the stand-ins. The text is rebuilt whenever the width of u grows.
+    """
     check_ground_size(n, caps.materialize_max_n)
-    _write_edges(fh, n, [str(m) for m in range(1 << n)], "{u},{v}\n")
+    tails = [b",%d\n" % v for v in range(1 << n)]
+    before = [0, *accumulate(map(len, tails))]  # the length of the tails before v's
+    width = 0
+    for u in range(1, 1 << n):
+        digits = b"%d" % u
+        if len(digits) != width:
+            width = len(digits)
+            stand_ins = _STAND_INS[:width]
+            text = stand_ins + stand_ins.join(tails)
+            starts = [v * width + length for v, length in enumerate(before)]
+        chunk = b"".join([text[starts[lo]:starts[hi]] for lo, hi in _meeting_runs(n, u)])
+        if chunk:
+            fh.write(chunk.translate(bytes.maketrans(stand_ins, digits)).decode())
 
 
 def render_graph_json(n: int, fh: TextIO, *, caps: Caps = DEFAULT_CAPS) -> None:

@@ -40,11 +40,13 @@ rows form a chain of n - 1 shift-ors from the apex's. Their neighbours are
 the 2^(n-1) - 1 non-empty subsets of {a_2, ..., a_n}, and one depth-first
 walk builds each of their rows once, from its parent's, and reads it for
 every size it neighbours, with O(n^2) rows on its stack: about 2^n ANDs in
-all. h_exact is a third of sum_k C(n,k) * t_k, and a sum that is not a
-multiple of 3 raises ValueError. The route reads no closed form, so h_exact
-stays independent of the corrected recursion, and hole_report compares the
-two: h_exact with h_corrected, and t_n with apex_primitive_degree. A
-mismatch raises RouteMismatch. primitive_degrees on full rows stays the test
+all. h_exact is a third of sum_k C(n,k) * t_k. The route reads no closed
+form, so h_exact stays independent of the corrected recursion, and
+hole_report compares the two: the walk's degrees d_k and |E| with
+degree_closed and edge_count_closed, h_exact with h_corrected, and t_n with
+apex_primitive_degree. A mismatch, a sum that is not a multiple of 3, or a
+failed guard of the walk raises RouteMismatch: the walk reads no input, so
+each is a fault in the program. primitive_degrees on full rows stays the test
 that the symmetry assumption holds. hole_report is also where `setgraph
 invariants` reads its triangle fields. The Goodman kernel
 stays the route for claims C11 and C20, the n = 13 acceptance gate and the
@@ -238,8 +240,9 @@ def _with_element(row: int, b: int) -> int:
     return row | row << (1 << b)
 
 
-def _incidence_by_size(n: int) -> tuple[int, ...]:
-    """(t_1, ..., t_n): the triangle incidence of the vertex (1 << k) - 1.
+def _incidence_by_size(n: int) -> tuple[tuple[int, ...], list[int], int]:
+    """((t_1, ..., t_n), [d_1, ..., d_n], |E|): the triangle incidence and
+    degree of the vertex (1 << k) - 1, and the edge count of G(n).
 
     Every k-subset has incidence t_k (the module docstring says why). The
     per-vertex identity of primitive_degrees runs at each representative
@@ -286,7 +289,7 @@ def _incidence_by_size(n: int) -> tuple[int, ...]:
             rest ^= 1 << b
             if w != 1 << b:
                 stack.append((_with_element(row, b), w ^ 1 << b, rest))
-    return _incidences(v, edges, degrees, far, shared)
+    return _incidences(v, edges, degrees, far, shared), degrees, edges
 
 
 def apex_primitive_degree(n: int, *, caps: Caps = DEFAULT_CAPS) -> int:
@@ -327,9 +330,12 @@ def hole_report(n: int, *, threads: int = 1, caps: Caps = DEFAULT_CAPS) -> HoleR
     divisibility by 3. No graph is materialized: permuting the ground set
     preserves G(n) and moves any k-subset onto any other, so the vertices of
     one size share one incidence (the module docstring has the route).
-    h_exact must equal h_corrected where both are computed, and t_n the
-    apex incidence |E| - max degree; a mismatch raises RouteMismatch, which
-    names n and both routes.
+    The walk's d_k must equal degree_closed(n, k) and its |E|
+    edge_count_closed(n); h_exact must equal h_corrected where both are
+    computed, and t_n the apex incidence |E| - max degree. A mismatch
+    raises RouteMismatch, which names n and both routes; so does a sum that
+    is not a multiple of 3, and a ValueError from a guard of the walk, whose
+    message it keeps.
 
     The gate n <= min(triangle_exact_max_n, materialize_max_n) is interim:
     the route needs neither cap, but keeping their gate keeps every report
@@ -346,13 +352,23 @@ def hole_report(n: int, *, threads: int = 1, caps: Caps = DEFAULT_CAPS) -> HoleR
     h_exact = None
     histogram = None
     if n <= min(caps.triangle_exact_max_n, caps.materialize_max_n):
-        incidence = _incidence_by_size(n)
+        try:
+            incidence, degrees, edges = _incidence_by_size(n)
+        except ValueError as exc:  # the walk reads no input: its guards catch faults
+            raise RouteMismatch(f"n={n}: {exc}") from exc
+        closed = [degree_closed(n, k) for k in range(1, n + 1)]
+        closed_edges = edge_count_closed(n, caps=caps)
+        if (degrees, edges) != (closed, closed_edges):
+            raise RouteMismatch(
+                f"n={n}: the per-size walk gives the degrees {degrees} and |E| = {edges}, "
+                f"degree_closed and edge_count_closed give {closed} and {closed_edges}"
+            )
         histogram = {}
         for k, t in enumerate(incidence, 1):
             histogram[t] = histogram.get(t, 0) + comb(n, k)
         h_exact, rest = divmod(sum(t * count for t, count in histogram.items()), 3)
         if rest:
-            raise ValueError("triangle incidences do not sum to a multiple of 3")
+            raise RouteMismatch(f"n={n}: triangle incidences do not sum to a multiple of 3")
         if incidence[-1] != apex:
             raise RouteMismatch(
                 f"n={n}: the per-size walk gives the apex incidence {incidence[-1]}, "

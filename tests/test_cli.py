@@ -111,6 +111,8 @@ BUILD_DIGESTS = {
     ("csv", 7): "acfe036e047f01620eab112d1254ef3508bc3bfda1d8361d8018e1a0e80a8eb8",
     ("csv", 8): "5dff82b06f5acd5c14c0a4cac27dae91da2ad7031c1d24e0d71b032436cf1dce",
     ("csv", 9): "29e1770dfcf29e5fade0e742cbd46357f4e32ffccf78df0da448b96c5b87df4b",
+    # the digest perfbench/run.py pins for its export_n12_csv workload
+    ("csv", 12): "1262e2cf06b355ec719d73ba6ffbcd222aed4cbeb68113b4ac4dc092040c58ff",
     ("dot", 1): "77c59f6a15c94b397ab606b23d85694baa0e363016276e073a20428f6f4a269c",
     ("dot", 2): "f252f562ae14a497431d69968eabdf5da8338bbcece36f1ac4ef788daad03664",
     ("dot", 3): "a8d96d4bef0112d5578ebe61bd3b5381fd3077457f7d34d726c79ffb8912561c",
@@ -137,6 +139,20 @@ def test_build_output_is_pinned(fmt, n, capsys):
     assert run_cli("build", str(n), "--format", fmt) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == BUILD_DIGESTS[fmt, n]
+
+
+def test_csv_writer_matches_the_shared_edge_writer():
+    # render_csv has its own writer; _write_edges, which DOT and JSON still
+    # use, is the reference. n = 10 and 11 cross the widths of u at 10, 100
+    # and 1000, where render_csv rebuilds its text of stand-ins
+    for n in range(1, 12):
+        fast, reference = io.StringIO(), io.StringIO()
+        cli.render_csv(n, fast)
+        cli._write_edges(reference, n, [str(m) for m in range(1 << n)], "{u},{v}\n")
+        text = fast.getvalue()
+        assert text == reference.getvalue()
+        # no stand-in byte is left over: only digits, commas and newlines
+        assert text.encode().translate(None, b"0123456789,\n") == b""
 
 
 def test_edge_stream_matches_pair_scan():
@@ -333,13 +349,13 @@ def test_route_mismatch_exits_4_with_one_line(monkeypatch, capsys):
     )
 
 
-def test_route_mismatch_exits_4_in_a_child(child_env):
-    # the skewed walk row of test_hole_report_rejects_a_skewed_row_that_passes_every_guard
-    code = """
+def _invariants_3_with_a_skewed_walk_row(child_env, extra_mask):
+    # the walk's step to the row of {a3} in G(3) gains the mask extra_mask
+    code = f"""
 import sys
 from setgraphs import cli, holes
 real = holes._with_element
-holes._with_element = lambda row, b: real(row, b) | (1 << 5 if (row, b) == (3, 1) else 0)
+holes._with_element = lambda row, b: real(row, b) | (1 << {extra_mask} if (row, b) == (3, 1) else 0)
 sys.exit(cli.main(["invariants", "3"]))
 """
     proc = subprocess.run(
@@ -347,8 +363,24 @@ sys.exit(cli.main(["invariants", "3"]))
     )
     assert proc.returncode == 4
     assert proc.stdout == ""
-    assert proc.stderr.count("\n") == 1
-    assert proc.stderr.startswith("setgraph: routes disagree: n=3: ")
+    return proc.stderr
+
+
+def test_route_mismatch_exits_4_in_a_child(child_env):
+    # the skewed walk row of test_hole_report_rejects_a_skewed_row_that_passes_every_guard
+    assert _invariants_3_with_a_skewed_walk_row(child_env, 0b101) == (
+        "setgraph: routes disagree: n=3: the per-size incidences give h_exact = 15, "
+        "the corrected recursion gives 13\n"
+    )
+
+
+def test_a_failed_walk_guard_exits_4_in_a_child(child_env):
+    # the walk reads no input, so its failed guard is a fault in the program,
+    # not the usage error's exit 2
+    assert _invariants_3_with_a_skewed_walk_row(child_env, 0b110) == (
+        "setgraph: routes disagree: n=3: rows are not symmetric: "
+        "odd doubled complement incidence\n"
+    )
 
 
 def test_invariants_exact_triangles_equal_the_kernel():

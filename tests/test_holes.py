@@ -322,16 +322,21 @@ def test_one_graph_is_checked_once_across_kernels(monkeypatch):
 
 def _by_size_histogram(n: int) -> Counter:
     histogram = Counter()
-    for k, t in enumerate(_incidence_by_size(n), 1):
+    for k, t in enumerate(_incidence_by_size(n)[0], 1):
         histogram[t] += comb(n, k)
     return histogram
 
 
 def test_incidence_by_size_matches_full_rows():
     # primitive_degrees reads every vertex of the explicit graph, so equal
-    # histograms show that the vertices of one size share one incidence
+    # histograms show that the vertices of one size share one incidence;
+    # the walk's degrees and |E| are checked against the rows the same way
     for n in range(1, 13):
-        assert _by_size_histogram(n) == Counter(primitive_degrees(materialize(n)))
+        g = materialize(n)
+        assert _by_size_histogram(n) == Counter(primitive_degrees(g))
+        _, degrees, edges = _incidence_by_size(n)
+        assert {d: comb(n, k) for k, d in enumerate(degrees, 1)} == Counter(g.degrees)
+        assert edges == sum(g.degrees) // 2
 
 
 def _incidence_closed(n: int, k: int) -> int:
@@ -354,7 +359,9 @@ def test_incidence_by_size_sums_to_three_h():
     # every reference is a closed form; the per-size route reads none, and
     # each t_k is checked on its own, not only through the sum
     for n in range(1, 16):
-        incidence = _incidence_by_size(n)
+        incidence, degrees, edges = _incidence_by_size(n)
+        assert degrees == [invariants.degree_closed(n, k) for k in range(1, n + 1)]
+        assert edges == edge_count_closed(n)
         assert incidence == tuple(_incidence_closed(n, k) for k in range(1, n + 1))
         tripled = sum(comb(n, k) * t for k, t in enumerate(incidence, 1))
         assert tripled == 3 * triangle_count_corrected(n)
@@ -371,7 +378,7 @@ def test_incidence_by_size_reads_no_closed_form(monkeypatch):
     for name in ("degree_closed", "edge_count_closed"):
         monkeypatch.setattr(invariants, name, refuse)
         monkeypatch.setattr(holes, name, refuse)
-    assert _incidence_by_size(3) == (3, 7, 9)
+    assert _incidence_by_size(3) == ((3, 7, 9), [3, 5, 6], 15)
 
 
 def test_incidence_by_size_takes_one_row_step_per_neighbour_row(monkeypatch):
@@ -541,10 +548,10 @@ def test_hole_report_12_pinned():
 
 def test_hole_report_rejects_incidences_that_are_not_three_h(monkeypatch):
     # one vertex of size 3 in G(3): a bump of t_3 moves the sum by 1
-    bumped = list(_incidence_by_size(3))
-    bumped[2] += 1
-    monkeypatch.setattr(holes, "_incidence_by_size", lambda n: tuple(bumped))
-    with pytest.raises(ValueError, match="multiple of 3"):
+    incidence, degrees, edges = _incidence_by_size(3)
+    bumped = incidence[:2] + (incidence[2] + 1,)
+    monkeypatch.setattr(holes, "_incidence_by_size", lambda n: (bumped, degrees, edges))
+    with pytest.raises(RouteMismatch, match="n=3: .*multiple of 3"):
         hole_report(3)
 
 
@@ -572,7 +579,26 @@ def test_incidence_by_size_rejects_odd_doubled_sums(
         return row | 1 << extra_mask if args == skewed_args else row
 
     monkeypatch.setattr(holes, name, skewed)
-    with pytest.raises(ValueError, match=message):
+    # the walk reads no input, so hole_report reports its failed guard as a fault
+    with pytest.raises(RouteMismatch, match=message):
+        hole_report(3)
+
+
+def test_hole_report_rejects_a_skewed_degree(monkeypatch):
+    # the chain's row of size 2 gains {a2, a3}, and its step to the row of
+    # size 1 adds that mask (already there) and mask 8, which is no vertex:
+    # d_2 and d_1 fall by one each, an even change of the doubled edge count
+    real = holes._with_element
+
+    def skewed(row, b):
+        return real(row, b) | (1 << 0b110 if (row, b) == (1, 2) else 0)
+
+    monkeypatch.setattr(holes, "_with_element", skewed)
+    with pytest.raises(
+        RouteMismatch,
+        match=r"n=3: the per-size walk gives the degrees \[2, 4, 6\] and \|E\| = 12, "
+        r"degree_closed and edge_count_closed give \[3, 5, 6\] and 15",
+    ):
         hole_report(3)
 
 
@@ -598,6 +624,8 @@ def test_hole_report_rejects_a_skewed_row_that_passes_every_guard(monkeypatch):
     [
         ("triangle_count_corrected", r"n=3: .* h_exact = 13, the corrected recursion gives 14"),
         ("apex_primitive_degree", r"n=3: .* apex incidence 9, \|E\| - max degree gives 10"),
+        ("degree_closed", r"n=3: .* degrees \[3, 5, 6\] and \|E\| = 15, .* give \[4, 6, 7\] and 15"),
+        ("edge_count_closed", r"n=3: .* degrees \[3, 5, 6\] and \|E\| = 15, .* give \[3, 5, 6\] and 16"),
     ],
 )
 def test_hole_report_rejects_a_formula_route_off_by_one(monkeypatch, name, message):
@@ -634,13 +662,16 @@ text = json.dumps(hole_report(12).as_dict()) + "\\n"
 print(hashlib.sha256(text.encode()).hexdigest())
 with_element = holes._with_element
 skews = [
-    (ValueError, "odd doubled complement incidence", "_with_element",
+    (RouteMismatch, "odd doubled complement incidence", "_with_element",
      lambda row, b: with_element(row, b) | (1 << 6 if (row, b) == (3, 1) else 0)),
-    (ValueError, "odd doubled edge count", "_with_element",
+    (RouteMismatch, "odd doubled edge count", "_with_element",
      lambda row, b: with_element(row, b) | ((row, b) == (1, 2)) << 1),
-    (ValueError, "negative triangle incidence", "_with_element",
+    (RouteMismatch, "negative triangle incidence", "_with_element",
      lambda row, b: with_element(row, b) & 0b1010101),
-    (ValueError, "multiple of 3", "_incidence_by_size", lambda n: (3, 7, 10)),
+    (RouteMismatch, "multiple of 3", "_incidence_by_size",
+     lambda n: ((3, 7, 10), [3, 5, 6], 15)),
+    (RouteMismatch, "degrees [2, 4, 6]", "_with_element",
+     lambda row, b: with_element(row, b) | (1 << 6 if (row, b) == (1, 2) else 0)),
     (RouteMismatch, "h_exact = 15, the corrected recursion gives 13", "_with_element",
      lambda row, b: with_element(row, b) | (1 << 5 if (row, b) == (3, 1) else 0)),
 ]
