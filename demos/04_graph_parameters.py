@@ -34,7 +34,7 @@ print(f"    ... and {len(cliques.cliques) - 4} more")
 
 coloring = chromatic_coloring(N)
 print(f"\ncomplement-pair coloring: {coloring.color_count} colors, "
-      f"proper = {coloring.is_proper()}")
+      f"proper = {coloring.conflict() is None}")
 
 alpha, witness = independence_number(N)
 print(f"\nindependence number {alpha}, witness: "

@@ -24,7 +24,7 @@ for note in closure.notes:
     print(f"  - {note}")
 
 print("\ndivisibility check to index 20:")
-divis = check_divisibility(20, 20)
+divis = check_divisibility(20)
 print(f"  {divis.status}")
 for note in divis.notes:
     print(f"  - {note}")

@@ -168,8 +168,7 @@ def invariant_report(n: int, *, caps: Caps = DEFAULT_CAPS) -> dict:
     report["triangles_corrected"] = triangles.h_corrected
     report["apex_primitive_degree"] = triangles.apex_primitive_degree
     if triangles.h_exact is None:
-        exact_max_n = min(caps.triangle_exact_max_n, caps.materialize_max_n)
-        reasons["triangles_exact"] = f"exact count capped at n <= {exact_max_n}"
+        reasons["triangles_exact"] = f"exact count capped at n <= {holes._exact_max_n(caps)}"
     if triangles.h_corrected is None:
         reasons["triangles_corrected"] = (
             f"corrected recursion capped at n <= {caps.corrected_max_n}"
@@ -366,7 +365,7 @@ def main(argv=None) -> int:
             verify.check_report_format(fmt)
             verdicts = [
                 check_closure(max_index, caps=caps),
-                check_divisibility(max_index, max_index, caps=caps),
+                check_divisibility(max_index, caps=caps),
             ]
             _emit(verify.render_report(verdicts, fmt, max_n=max_index, caps=caps), out)
     except CapExceeded as exc:

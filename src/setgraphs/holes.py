@@ -1,57 +1,33 @@
 """Triangle (3-cycle) counting and per-vertex triangle incidence.
 
-Three routes to the triangle count are provided and deliberately kept apart:
+Three routes to the triangle count h are kept apart:
 
-* an exact count on explicit rows by Goodman's identity: C(V,3), minus half
-  the sum of d(V-1-d) over the row degrees, minus the triangles of the
-  complement, counted edge by edge on explicit complement rows;
+* triangle_count_exact, Goodman's identity on explicit rows. The complement
+  of G(n) is the sparse disjointness graph, and its triangles cost one AND
+  and popcount per complement edge: about 0.8M of them at n = 13 (8191
+  vertices, ~32.7M edges);
 * the claimed recursion h(n+1) = h(n) + C(2^n, 3) + 4*E(n), evaluated exactly
   as stated so the harness can adjudicate it (it is not ground truth);
 * a corrected recursion that accounts for all three ways a triangle can use
   replica vertices, evaluated in closed form over cardinality classes so it
   reaches well beyond materialization range.
 
-The complement of G(n) is the sparse disjointness graph, so the exact count
-does one AND and popcount per complement edge: about 0.8M of them at n = 13
-(8191 vertices, ~32.7M edges), against the ~33.5M vertex pairs of a sweep
-over all rows. Each complement triangle is counted once, at its two highest
-vertices (Chiba and Nishizeki's orientation): the rows keep only the
-complement neighbours below each vertex, and in canonical order the lower
-end of a disjoint pair is almost always a small subset near the start, so
-the ANDs run over a few low bits instead of all V.
+Per-vertex incidence has three routes:
 
-Per-vertex incidence has two routes on explicit rows. primitive_degrees runs the per-vertex
-identity t(v) = |E| - d(v) - sum_{w in comp(v)} d(w) + C(V-1-d(v), 2) - t_c(v)
-on its own scan of the complement rows (t_c(v): complement triangles at v),
-reading each complement edge once and crediting both of its ends. The scalar
-primitive_degree intersects v's row with each neighbour's row; beyond the row
-check of `Graph.degrees` it shares no code with the identity, so it stays the
-reference for the tests and claim C7.
+* primitive_degrees runs the per-vertex identity
+  t(v) = |E| - d(v) - sum_{w in comp(v)} d(w) + C(V-1-d(v), 2) - t_c(v)
+  (t_c(v): complement triangles at v) on explicit complement rows;
+* the scalar primitive_degree intersects v's row with each neighbour's row;
+  beyond the row check of `Graph.degrees` it shares no code with the
+  identity, so it stays the reference for the tests and claim C7;
+* _incidence_by_size runs the same identity at one vertex per cardinality,
+  in mask space, and builds no graph. primitive_degrees on full rows stays
+  the test that its symmetry assumption holds.
 
-hole_report reads its histogram and h_exact from a third route to the
-incidences, _incidence_by_size, which builds no graph. A permutation of the
-ground set maps G(n) onto itself and any k-subset onto any other, so every
-vertex of cardinality k has the same degree and the same incidence t_k. The
-route runs the per-vertex identity above at one vertex per cardinality,
-(1 << k) - 1, in mask space: the complement row of a mask w is the indicator
-of the non-empty submasks of ~w, and the degrees come from the popcounts of
-those rows. Every row is one shift-or of another. The representatives'
-rows form a chain of n - 1 shift-ors from the apex's. Their neighbours are
-the 2^(n-1) - 1 non-empty subsets of {a_2, ..., a_n}, and one depth-first
-walk builds each of their rows once, from its parent's, and reads it for
-every size it neighbours, with O(n^2) rows on its stack: about 2^n ANDs in
-all. h_exact is a third of sum_k C(n,k) * t_k. The route reads no closed
-form, so h_exact stays independent of the corrected recursion, and
-hole_report compares the two: the walk's degrees d_k and |E| with
-degree_closed and edge_count_closed, h_exact with h_corrected, and t_n with
-apex_primitive_degree. A mismatch, a sum that is not a multiple of 3, or a
-failed guard of the walk raises RouteMismatch: the walk reads no input, so
-each is a fault in the program. primitive_degrees on full rows stays the test
-that the symmetry assumption holds. hole_report is also where `setgraph
-invariants` reads its triangle fields. The Goodman kernel
-stays the route for claims C11 and C20, the n = 13 acceptance gate and the
-tests, which compare it with primitive_degrees, the per-size route and
-hole_report.
+hole_report reads h_exact and its histogram from _incidence_by_size and
+checks them against the closed forms and the corrected recursion; `setgraph
+invariants` reads its triangle fields there. The Goodman kernel stays the
+route for claims C11 and C20, the n = 13 acceptance gate and the tests.
 """
 
 from __future__ import annotations
@@ -69,8 +45,10 @@ def _complement_triangles(g: Graph) -> int:
 
     comp[u] keeps only the complement neighbours below u, so each complement
     edge (u, w), w < u, adds the common complement neighbours below w and
-    every complement triangle is counted once, at its two highest vertices.
-    comp[w] has at most w bits, so the AND is as short as the lower end.
+    every complement triangle is counted once, at its two highest vertices
+    (Chiba and Nishizeki's orientation). comp[w] has at most w bits, so the
+    AND is as short as the lower end, which in canonical order is almost
+    always a small subset near the start.
     comp[u] is one AND-NOT per row: the low u bits, less g's row.
     """
     comp = [((1 << u) - 1) & ~row for u, row in enumerate(g.rows)]
@@ -244,13 +222,16 @@ def _incidence_by_size(n: int) -> tuple[tuple[int, ...], list[int], int]:
     """((t_1, ..., t_n), [d_1, ..., d_n], |E|): the triangle incidence and
     degree of the vertex (1 << k) - 1, and the edge count of G(n).
 
-    Every k-subset has incidence t_k (the module docstring says why). The
+    A permutation of the ground set maps G(n) onto itself and any k-subset
+    onto any other, so every k-subset has degree d_k and incidence t_k. The
     per-vertex identity of primitive_degrees runs at each representative
     over its 2^(n-k) - 1 complement neighbours w, the non-empty subsets of
-    the elements above its own. Every such w is a non-empty subset of
-    {a_2, ..., a_n}, and a w whose lowest element is a_(L+1) neighbours the
-    representatives of the sizes k <= L. So one depth-first walk visits
-    each w once, reads its row once and credits every size it neighbours.
+    the elements above its own; the complement row of a mask marks the
+    non-empty submasks of its free set, the elements it lacks. Every such w
+    is a non-empty subset of {a_2, ..., a_n}, and a w whose lowest element
+    is a_(L+1) neighbours the representatives of the sizes k <= L. So one
+    depth-first walk visits each w once, reads its row once and credits
+    every size it neighbours.
     The walk starts at w = {a_2, ..., a_n}, whose free set is {a_1}, and
     each child drops from w one element above the last one dropped, which
     joins the free set: the child's row is one shift-or of its parent's.
@@ -258,7 +239,8 @@ def _incidence_by_size(n: int) -> tuple[tuple[int, ...], list[int], int]:
     its row is the row of size k + 1 with a_(k+1) joined: a chain of n - 1
     shift-ors from the apex row, 1, builds all n of them. Walk rows keep the
     empty mask (bit 0), which the representative rows drop, so the ANDs are
-    unaffected and d(w) = V - popcount(row).
+    unaffected and d(w) = V - popcount(row). The stack holds O(n^2) rows,
+    and the walk does about 2^n ANDs in all.
 
     |E| is half of sum_k C(n,k) * d_k. Degrees are read from the popcounts
     of the rows, not from a closed form. An odd doubled edge count or
@@ -321,27 +303,29 @@ class HoleReport:
         return out
 
 
+def _exact_max_n(caps: Caps) -> int:
+    """The largest n at which h is counted exactly: hole_report's gate, read
+    also by `setgraph invariants` and the ranges of claims C7, C11 and C20.
+
+    The per-size walk needs neither cap, but keeping the gate
+    min(triangle_exact_max_n, materialize_max_n) keeps every report
+    byte-identical under every cap until the walk gets a cap of its own.
+    """
+    return min(caps.triangle_exact_max_n, caps.materialize_max_n)
+
+
 def hole_report(n: int, *, threads: int = 1, caps: Caps = DEFAULT_CAPS) -> HoleReport:
     """Triangle statistics of G(n).
 
-    Below the gate, _incidence_by_size gives t_k at one vertex per
-    cardinality; the histogram maps t_k to the C(n,k) vertices that share
-    it, and h_exact is a third of sum_k C(n,k) * t_k, checked for
-    divisibility by 3. No graph is materialized: permuting the ground set
-    preserves G(n) and moves any k-subset onto any other, so the vertices of
-    one size share one incidence (the module docstring has the route).
-    The walk's d_k must equal degree_closed(n, k) and its |E|
-    edge_count_closed(n); h_exact must equal h_corrected where both are
-    computed, and t_n the apex incidence |E| - max degree. A mismatch
-    raises RouteMismatch, which names n and both routes; so does a sum that
-    is not a multiple of 3, and a ValueError from a guard of the walk, whose
-    message it keeps.
-
-    The gate n <= min(triangle_exact_max_n, materialize_max_n) is interim:
-    the route needs neither cap, but keeping their gate keeps every report
-    byte-identical under every cap until a cap of its own is added.
-    `cli.invariant_report` reads its triangle fields here, so `setgraph
-    invariants` follows the same gate.
+    For n <= _exact_max_n(caps), _incidence_by_size gives t_k at one vertex
+    per cardinality; the histogram maps t_k to the C(n,k) vertices that
+    share it, and h_exact is a third of sum_k C(n,k) * t_k. The walk's d_k
+    must equal degree_closed(n, k) and its |E| edge_count_closed(n); the sum
+    must be a multiple of 3; t_n must equal the apex incidence |E| - max
+    degree; and h_exact must equal h_corrected where both are computed. The
+    first check that fails raises RouteMismatch, which names n and both
+    routes; so does a ValueError from a guard of the walk, whose message it
+    keeps. The walk reads no input, so each is a fault in the program.
 
     ``threads`` is accepted and ignored: everything runs on one thread. It
     stays because the benchmark's child process (perfbench/child.py) calls
@@ -349,40 +333,38 @@ def hole_report(n: int, *, threads: int = 1, caps: Caps = DEFAULT_CAPS) -> HoleR
     """
     check_ground_size(n, caps.count_max_n)
     apex = apex_primitive_degree(n, caps=caps)
-    h_exact = None
-    histogram = None
-    if n <= min(caps.triangle_exact_max_n, caps.materialize_max_n):
-        try:
-            incidence, degrees, edges = _incidence_by_size(n)
-        except ValueError as exc:  # the walk reads no input: its guards catch faults
-            raise RouteMismatch(f"n={n}: {exc}") from exc
-        closed = [degree_closed(n, k) for k in range(1, n + 1)]
-        closed_edges = edge_count_closed(n, caps=caps)
-        if (degrees, edges) != (closed, closed_edges):
-            raise RouteMismatch(
-                f"n={n}: the per-size walk gives the degrees {degrees} and |E| = {edges}, "
-                f"degree_closed and edge_count_closed give {closed} and {closed_edges}"
-            )
-        histogram = {}
-        for k, t in enumerate(incidence, 1):
-            histogram[t] = histogram.get(t, 0) + comb(n, k)
-        h_exact, rest = divmod(sum(t * count for t, count in histogram.items()), 3)
-        if rest:
-            raise RouteMismatch(f"n={n}: triangle incidences do not sum to a multiple of 3")
-        if incidence[-1] != apex:
-            raise RouteMismatch(
-                f"n={n}: the per-size walk gives the apex incidence {incidence[-1]}, "
-                f"|E| - max degree gives {apex}"
-            )
     claimed = triangle_count_claimed(n, caps=caps) if n >= 2 else None
     corrected = (
         triangle_count_corrected(n, caps=caps) if n <= caps.corrected_max_n else None
     )
-    if None not in (h_exact, corrected) and h_exact != corrected:
-        raise RouteMismatch(
-            f"n={n}: the per-size incidences give h_exact = {h_exact}, "
-            f"the corrected recursion gives {corrected}"
+    h_exact = None
+    histogram = None
+    if n <= _exact_max_n(caps):
+        try:
+            incidence, degrees, edges = _incidence_by_size(n)
+        except ValueError as exc:
+            raise RouteMismatch(f"n={n}: {exc}") from exc
+        closed = [degree_closed(n, k) for k in range(1, n + 1)]
+        closed_edges = edge_count_closed(n, caps=caps)
+        histogram = {}
+        for k, t in enumerate(incidence, 1):
+            histogram[t] = histogram.get(t, 0) + comb(n, k)
+        h_exact, rest = divmod(sum(t * count for t, count in histogram.items()), 3)
+        checks = (
+            ((degrees, edges) == (closed, closed_edges),
+             f"the per-size walk gives the degrees {degrees} and |E| = {edges}, "
+             f"degree_closed and edge_count_closed give {closed} and {closed_edges}"),
+            (not rest, "triangle incidences do not sum to a multiple of 3"),
+            (incidence[-1] == apex,
+             f"the per-size walk gives the apex incidence {incidence[-1]}, "
+             f"|E| - max degree gives {apex}"),
+            (corrected is None or h_exact == corrected,
+             f"the per-size incidences give h_exact = {h_exact}, "
+             f"the corrected recursion gives {corrected}"),
         )
+        for holds, message in checks:
+            if not holds:
+                raise RouteMismatch(f"n={n}: {message}")
     return HoleReport(
         n=n,
         h_exact=h_exact,

@@ -76,25 +76,27 @@ def check_closure(max_index: int, *, caps: Caps = DEFAULT_CAPS) -> ClaimVerdict:
     return _confirmed("C21", indices, notes)
 
 
-def check_divisibility(max_i: int, max_k: int, *, caps: Caps = DEFAULT_CAPS) -> ClaimVerdict:
+def check_divisibility(max_index: int, *, caps: Caps = DEFAULT_CAPS) -> ClaimVerdict:
     """Check that m_i divides m_{ki} while the quotient is never a Mela number.
 
-    Runs over divisor indices i >= 2 and multipliers k >= 2 with k*i within
-    the sequence cap; the i = 1 case is degenerate (every quotient is m_k
-    itself) and is noted rather than refuted.
+    Runs over divisor indices i and multipliers k in 2..max_index with k*i
+    within the sequence cap; the i = 1 case is degenerate (every quotient is
+    m_k itself) and is noted rather than refuted.
     """
-    if max_i < 2 or max_k < 2:
+    # i and k both run to max_index; the messages name each bound
+    if max_index < 2:
         raise ValueError("need max_i >= 2 and max_k >= 2 for a non-trivial check")
-    if 2 * max_i > caps.mela_max_index or 2 * max_k > caps.mela_max_index:
+    if 2 * max_index > caps.mela_max_index:
         raise CapExceeded(
             f"divisibility check needs k*i <= {caps.mela_max_index}; "
-            f"got max_i={max_i}, max_k={max_k}"
+            f"got max_i={max_index}, max_k={max_index}"
         )
     m = mela(caps.mela_max_index, caps=caps)
     tested = []
     skipped = 0
-    for i in range(2, max_i + 1):
-        for k in range(2, max_k + 1):
+    indices = range(2, max_index + 1)
+    for i in indices:
+        for k in indices:
             if k * i > caps.mela_max_index:
                 skipped += 1
                 continue
@@ -107,11 +109,11 @@ def check_divisibility(max_i: int, max_k: int, *, caps: Caps = DEFAULT_CAPS) -> 
                                   "kind": "quotient is a Mela number"}
             else:
                 continue
-            return _refuted("C22", range(2, max_i + 1), counterexample)
+            return _refuted("C22", indices, counterexample)
     notes = [
         f"verified {len(tested)} (i, k) pairs with i, k >= 2",
         "i = 1 is degenerate (m_k / m_1 = m_k is always a Mela number) and is excluded",
     ]
     if skipped:
         notes.append(f"{skipped} pairs with k*i > {caps.mela_max_index} skipped (cap)")
-    return _confirmed("C22", range(2, max_i + 1), notes)
+    return _confirmed("C22", indices, notes)

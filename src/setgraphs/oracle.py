@@ -16,7 +16,7 @@ from __future__ import annotations
 from .config import CapExceeded
 from .core import Graph, _bit_positions
 
-ENUM_TRIANGLES_MAX_VERTICES = 1 << 13
+ENUM_TRIANGLES_MAX_VERTICES = 127  # at most C(127, 3) = 333,375 triples
 CLIQUE_MAX_VERTICES = 63
 CHROMATIC_MAX_VERTICES = 16
 SEARCH_MAX_VERTICES = 31

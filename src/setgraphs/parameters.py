@@ -44,10 +44,6 @@ class Coloring:
                         return u, v
         return None
 
-    def is_proper(self) -> bool:
-        """True when no two adjacent masks share a color."""
-        return self.conflict() is None
-
 
 def chromatic_coloring(n: int, *, caps: Caps = DEFAULT_CAPS) -> Coloring:
     """A proper coloring with exactly 2^(n-1) colors.

@@ -359,7 +359,7 @@ def _check_c22(max_n: int, caps: Caps) -> ClaimVerdict:
     bound = min(max_n, PRODUCT_CAP_INDEX, caps.mela_max_index // 2)
     if bound < 2:
         return _skipped("C22", _EMPTY_RANGE.format(min_n=2, cap=bound))
-    return check_divisibility(bound, bound, caps=caps)
+    return check_divisibility(bound, caps=caps)
 
 
 REGISTRY: tuple[Claim, ...] = (
@@ -391,7 +391,7 @@ REGISTRY: tuple[Claim, ...] = (
            lambda c: 12, top=lambda c: min(10, c.materialize_max_n), skip="needs n >= 2"),
     _swept("C7", "the full-set vertex lies on |E| - max_deg triangles",
            "dp(v_{n,1}) = |E(G)| - max_deg(G)", 2, _c7,
-           lambda c: min(9, c.materialize_max_n, c.triangle_exact_max_n),
+           lambda c: min(9, holes._exact_max_n(c)),
            skip="needs n >= 2 within oracle cap {cap}",
            notes=("direct per-vertex triangle incidence at the full-set vertex",)),
     _swept("C8", "edge recursion E(n+1) = 3E(n) + V(n) + C(V(n)+1, 2) matches direct counts",
@@ -409,7 +409,7 @@ REGISTRY: tuple[Claim, ...] = (
            skip="needs n >= 2 within the clique oracle cap"),
     _swept("C11", "triangle recursion h(n+1) = h(n) + C(2^n, 3) + 4|E(n)| matches the exact count",
            "h(G(n+1)) = h(G(n)) + C(2^n, 3) + 4|E(G(n))|", 2, _c11,
-           lambda c: min(c.triangle_exact_max_n, c.materialize_max_n),
+           holes._exact_max_n,
            skip="needs n >= 2 within exact-count cap {cap}"),
     _swept("C12", "tightness recursion: new singleton 2^n - 1; erstwhile k -> 2k + 1; replica k -> 2^n + k",
            "tightness recursion parts (i)-(iii)", 1, _c12,
@@ -450,7 +450,7 @@ REGISTRY: tuple[Claim, ...] = (
     _swept("C20", "0 <= h <= C(|V|, 3), and h never drops when the ground set grows",
            "0 <= h(G) <= C(|V|, 3); h(H) <= h(G) for subgraphs H", 1, _c20,
            lambda c: min(12, c.corrected_max_n),
-           top=lambda c: min(9, c.corrected_max_n, c.triangle_exact_max_n, c.materialize_max_n),
+           top=lambda c: min(9, c.corrected_max_n, holes._exact_max_n(c)),
            notes=("exact counts for n <= {top}, corrected recursion beyond "
                   "(the two agree on the overlap)",)),
     Claim("C21", "sums, products, and ordered differences of Mela numbers are never Mela",

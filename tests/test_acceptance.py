@@ -141,7 +141,7 @@ def test_criterion_06_parameter_suite():
         coloring = chromatic_coloring(n)
         witness = clique_witness(n)
         ok = ok and coloring.color_count == 2 ** (n - 1)
-        ok = ok and coloring.is_proper()
+        ok = ok and coloring.conflict() is None
         ok = ok and len(witness) == clique_number(n)
         ok = ok and all(u & v for i, u in enumerate(witness) for v in witness[i + 1 :])
     for n in range(1, 5):
@@ -175,7 +175,7 @@ def test_criterion_08_mela():
     start = time.perf_counter()
     ok = mela(4) == [1, 3, 7, 15]
     closure = check_closure(20)
-    divis = check_divisibility(20, 20)
+    divis = check_divisibility(20)
     ok = ok and closure.status == CONFIRMED and divis.status == CONFIRMED
     ok = ok and any("index 1" in note for note in closure.notes)
     ok = ok and any("degenerate" in note for note in divis.notes)

@@ -485,6 +485,26 @@ def test_config_bad_cap_value_is_a_usage_error(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_config_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[1]")
+    assert run_cli("--config", str(config), "invariants", "3") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "setgraph: config file must hold a JSON object\n"
+
+
+def test_unwritable_out_exits_1_with_one_line(tmp_path, capsys):
+    # the OSError arm of main: the file system refuses, not the input
+    out = tmp_path / "missing" / "x.csv"
+    assert run_cli("build", "2", "--format", "csv", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("setgraph: ")
+    assert captured.err.count("\n") == 1
+    assert not out.parent.exists()
+
+
 def test_threads_is_validated_then_ignored(tmp_path, capsys):
     # any thread count >= 1 runs and leaves the output unchanged; 0 is a
     # usage error with a one-line message, from the flag or the config

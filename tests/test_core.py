@@ -31,6 +31,8 @@ def test_mask_helpers():
     assert mask_of_elements([3]) == 0b100
     assert subset_str(0b101) == "{a1,a3}"
     assert subset_str(0b1) == "{a1}"
+    with pytest.raises(ValueError, match="1-based"):
+        mask_of_elements([0])
 
 
 def test_adjacent_examples():

@@ -222,6 +222,8 @@ def test_triangle_count_rejects_rows_that_pass_check_rows():
         triangle_count_exact(g)
     with pytest.raises(ValueError):
         primitive_degrees(g)
+    with pytest.raises(ValueError, match="odd doubled triangle incidence"):
+        primitive_degree(g, 2)
 
 
 def _is_simple_undirected(rows) -> bool:

@@ -75,6 +75,8 @@ def test_closure_verdict():
     assert any("index 1" in note for note in verdict.notes)
     with pytest.raises(CapExceeded):
         check_closure(32)
+    with pytest.raises(ValueError):
+        check_closure(0)
 
 
 def test_divisibility_examples():
@@ -84,18 +86,18 @@ def test_divisibility_examples():
 
 
 def test_divisibility_verdict():
-    verdict = check_divisibility(20, 20)
+    verdict = check_divisibility(20)
     assert verdict.status == CONFIRMED
     assert verdict.claim_id == "C22"
     assert any("degenerate" in note for note in verdict.notes)
     with pytest.raises(ValueError):
-        check_divisibility(1, 5)
+        check_divisibility(1)
     with pytest.raises(CapExceeded):
-        check_divisibility(32, 2)
+        check_divisibility(32)
 
 
 def test_divisibility_is_exhaustive_over_reachable_pairs():
-    verdict = check_divisibility(31, 31)
+    verdict = check_divisibility(31)
     assert verdict.status == CONFIRMED
     values = mela(62)
     pairs = sum(
@@ -126,7 +128,7 @@ def test_closure_refutes_on_each_kind(monkeypatch, target, counterexample):
 
 def test_divisibility_refutes_on_each_kind(monkeypatch):
     monkeypatch.setattr(MELA, "is_mela", lambda x: x == 5)  # m_4 / m_2
-    verdict = check_divisibility(3, 3)
+    verdict = check_divisibility(3)
     assert verdict.status == REFUTED
     assert verdict.n_tested == (2, 3)
     assert verdict.counterexample == {
@@ -140,7 +142,7 @@ def test_divisibility_refutes_on_each_kind(monkeypatch):
         return values
 
     monkeypatch.setattr(MELA, "mela", m_4_plus_one)
-    verdict = check_divisibility(3, 3)
+    verdict = check_divisibility(3)
     assert verdict.status == REFUTED
     assert verdict.n_tested == (2, 3)
     assert verdict.counterexample == {

@@ -1,11 +1,13 @@
 """The exact searches on textbook graphs with known answers."""
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
-from setgraphs import CapExceeded, Graph, edge_count_brute
+from setgraphs import CapExceeded, Graph, edge_count_brute, materialize
 from setgraphs.oracle import (
+    ENUM_TRIANGLES_MAX_VERTICES,
     chromatic_exact,
     dominating_exact,
     enum_triangles,
@@ -57,6 +59,7 @@ def test_chromatic_exact():
     assert chromatic_exact(Graph.path(3)) == 2
     assert chromatic_exact(cycle(5)) == 3  # odd cycle
     assert chromatic_exact(Graph.edgeless(4)) == 1
+    assert chromatic_exact(Graph(())) == 0
 
 
 def test_chromatic_at_least_clique():
@@ -194,3 +197,20 @@ def test_caps_raise():
         vertex_cover_exact(Graph.edgeless(32))
     with pytest.raises(CapExceeded):
         chromatic_exact(Graph.edgeless(17))
+    assert enum_triangles(Graph.edgeless(ENUM_TRIANGLES_MAX_VERTICES)) == []
+    with pytest.raises(CapExceeded, match="enum_triangles"):
+        enum_triangles(Graph.edgeless(ENUM_TRIANGLES_MAX_VERTICES + 1))
+
+
+def test_enum_triangles_refuses_g8_before_listing():
+    # G(8) has 255 vertices and 2,111,382 triangles; the cap refuses it
+    # before the list grows
+    g = materialize(8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="enum_triangles"):
+            enum_triangles(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -4,6 +4,7 @@ import pytest
 
 from setgraphs import (
     CapExceeded,
+    Graph,
     adjacent,
     bondage_number,
     chromatic_coloring,
@@ -101,8 +102,10 @@ def test_chromatic_coloring():
     for n in range(1, 13):
         coloring = chromatic_coloring(n)
         assert coloring.color_count == 2 ** (n - 1) == chromatic_number(n)
-        assert coloring.is_proper()
+        assert coloring.conflict() is None
         assert len(coloring.colors) == 2**n - 1
+    with pytest.raises(CapExceeded, match="explicit coloring"):
+        chromatic_coloring(15)
 
 
 def test_chromatic_exact_agrees():
@@ -142,6 +145,8 @@ def test_bondage():
         assert single_edge_bondage(materialize(n)) == edge
     with pytest.raises(ValueError):
         bondage_number(1)
+    # removing any edge of a triangle leaves a universal vertex: no witness
+    assert single_edge_bondage(Graph.complete(3)) is None
 
 
 def test_bondage_witness_really_raises_domination():
