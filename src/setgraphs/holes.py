@@ -9,8 +9,8 @@ Three routes to the triangle count h are kept apart:
 * the claimed recursion h(n+1) = h(n) + C(2^n, 3) + 4*E(n), evaluated exactly
   as stated so the harness can adjudicate it (it is not ground truth);
 * a corrected recursion that accounts for all three ways a triangle can use
-  replica vertices, evaluated in closed form over cardinality classes so it
-  reaches well beyond materialization range.
+  replica vertices; each step is one pass over the subset sizes k = 1..m,
+  so it reaches well beyond materialization range.
 
 Per-vertex incidence has three routes:
 
@@ -108,9 +108,18 @@ def triangle_count_corrected(n: int, *, caps: Caps = DEFAULT_CAPS) -> int:
     * for every old vertex, one triangle per pair of adjacent replicas,
       C(d+1, 2) of them (the +1 is the vertex's own replica).
 
-    Both sums are evaluated over cardinality classes: the number of ordered
-    subset pairs with |S| = s, |T| = t, |S n T| = j is
-    C(m,s) * C(s,j) * C(m-s, t-j).
+    The doubled edge term (summed over ordered pairs) is one pass over k:
+
+    * size terms, by the S <-> T symmetry: d_k * (2^m - 2^(m-k+1)) for each
+      k-set S, with d_k = degree_closed(m, k);
+    * union term, by U = S u T: 3^k - 2^k ordered pairs of meeting subsets
+      have union U when |U| = k (each element of U lies in S only, T only or
+      both, and at least one in both); less the diagonal pair (U, U), each
+      k-set U gives 2^(m-k) * (3^k - 2^k - 1).
+
+    Each summand is even, so the halving is exact and needs no parity guard.
+    A wrong recursion is caught where it meets other routes: hole_report's
+    h_exact for n <= 13, and C20's Goodman kernel for n <= 9.
     """
     check_ground_size(n, caps.count_max_n)
     if n > caps.corrected_max_n:
@@ -119,25 +128,12 @@ def triangle_count_corrected(n: int, *, caps: Caps = DEFAULT_CAPS) -> int:
         )
     h = 0
     for m in range(1, n):
-        replica_clique = comb(1 << m, 3)
-        edge_term_doubled = 0
-        for s in range(1, m + 1):
-            for t in range(1, m + 1):
-                for j in range(max(1, s + t - m), min(s, t) + 1):
-                    if j == s == t:
-                        continue  # the (s,s,s) cell is exactly the diagonal S = T
-                    pairs = comb(m, s) * comb(s, j) * comb(m - s, t - j)
-                    union = s + t - j
-                    common = (
-                        (1 << m) - (1 << (m - s)) - (1 << (m - t)) + (1 << (m - union))
-                    )
-                    edge_term_doubled += pairs * common
-        if edge_term_doubled % 2:
-            raise ValueError(f"corrected recursion: odd doubled edge term at m={m}")
-        vertex_term = sum(
-            comb(m, k) * comb(degree_closed(m, k) + 1, 2) for k in range(1, m + 1)
-        )
-        h = h + replica_clique + edge_term_doubled // 2 + vertex_term
+        edge_term_doubled = vertex_term = 0
+        for k in range(1, m + 1):
+            sets, d, outside = comb(m, k), degree_closed(m, k), 1 << (m - k)
+            edge_term_doubled += sets * (d * ((1 << m) - 2 * outside) + outside * (3**k - (1 << k) - 1))
+            vertex_term += sets * comb(d + 1, 2)
+        h += comb(1 << m, 3) + edge_term_doubled // 2 + vertex_term
     return h
 
 

@@ -1,7 +1,7 @@
 """Exact algorithms on small explicit graphs, used as independent ground truth.
 
-Every search here is deterministic (fixed pivot and branch order) and takes
-any `core.Graph` with symmetric adjacency rows, so each can be unit-tested on
+Every search here is deterministic (fixed pivot and branch order), checks
+its vertex cap and then the rows (`Graph.degrees`), and is unit-tested on
 textbook graphs (`Graph.complete`, `Graph.path`, `Graph.from_edges`) before
 it adjudicates any claim about subset intersection graphs, where it reads the
 rows of `materialize(n)` as they are. Independence and vertex cover are not
@@ -25,6 +25,7 @@ SEARCH_MAX_VERTICES = 31
 def _check_cap(g: Graph, cap: int, what: str) -> None:
     if g.num_vertices > cap:
         raise CapExceeded(f"{what} handles at most {cap} vertices, got {g.num_vertices}")
+    g.degrees  # checks the rows, once per graph
 
 
 def enum_triangles(g: Graph) -> list[tuple[int, int, int]]:

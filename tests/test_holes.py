@@ -1,5 +1,6 @@
 """Triangle counts: exact kernel, claimed and corrected recursions, incidence."""
 
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -457,11 +458,22 @@ def _h_by_complement_counting(n: int) -> int:
 
 def test_corrected_matches_complement_counting_route():
     # a third derivation, independent of both the kernel and the extension
-    # recursion, pins the corrected values over their whole range
-    for n in range(1, 20):
-        assert triangle_count_corrected(n) == _h_by_complement_counting(n)
+    # recursion, pins the corrected values over their whole range and beyond
+    caps = dataclasses.replace(DEFAULT_CAPS, count_max_n=30, corrected_max_n=30)
+    for n in range(1, 31):
+        assert triangle_count_corrected(n, caps=caps) == _h_by_complement_counting(n)
     for n in range(1, 8):
         assert _h_by_complement_counting(n) == triangle_count_exact(materialize(n))
+
+
+@pytest.mark.parametrize("n", [5, 13, 19])
+def test_corrected_is_one_pass_over_sizes_per_step(monkeypatch, n):
+    # one comb per step and two per size k <= m, n^2 - 1 in all; the
+    # (s, t, j) triple loop over cardinality classes made thousands at n = 13
+    calls = []
+    monkeypatch.setattr(holes, "comb", lambda *a: calls.append(a) or comb(*a))
+    assert triangle_count_corrected(n) == _h_by_complement_counting(n)
+    assert len(calls) <= n * n
 
 
 def test_h13_pinned():

@@ -32,6 +32,17 @@ def test_smallgraph_constructors_validate():
         Graph((0b10,)).degrees
 
 
+@pytest.mark.parametrize("oracle", [
+    enum_triangles, max_cliques_exact, chromatic_exact, mis_exact, dominating_exact,
+    vertex_cover_exact,
+])
+def test_oracles_refuse_asymmetric_rows(oracle):
+    # the one-way pair 0 -> 1: without the row check, max_cliques_exact
+    # returns [(0, 1)] and dominating_exact 3
+    with pytest.raises(ValueError, match=r"asymmetric pair \(0, 1\)"):
+        oracle(Graph((0b10, 0b00, 0b000)))
+
+
 def test_enum_triangles():
     assert enum_triangles(Graph.path(3)) == []
     assert len(enum_triangles(Graph.complete(4))) == 4
