@@ -8,6 +8,7 @@ confirm the small cases.
 """
 
 from setgraphs import (
+    adjacent,
     chromatic_coloring,
     clique_number,
     disjointness_graph,
@@ -26,15 +27,16 @@ N = 4
 
 cliques = max_cliques(materialize(N))
 print(f"G({N}): clique number {clique_number(N)}; "
-      f"{len(cliques.cliques)} maximum cliques found by enumeration")
+      f"{len(cliques)} maximum cliques found by enumeration")
 print("  (so the 'exactly two largest complete subgraphs' claim fails for n >= 3)")
-for c in cliques.cliques[:4]:
+for c in cliques[:4]:
     print("   ", ", ".join(subset_str(m) for m in c))
-print(f"    ... and {len(cliques.cliques) - 4} more")
+print(f"    ... and {len(cliques) - 4} more")
 
-coloring = chromatic_coloring(N)
-print(f"\ncomplement-pair coloring: {coloring.color_count} colors, "
-      f"proper = {coloring.conflict() is None}")
+# one color class per complement pair, plus the full set alone
+classes = chromatic_coloring(N)
+proper = not any(adjacent(u, v) for c in classes for u in c for v in c)
+print(f"\ncomplement-pair coloring: {len(classes)} colors, proper = {proper}")
 
 alpha, witness = independence_number(N)
 print(f"\nindependence number {alpha}, witness: "

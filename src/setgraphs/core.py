@@ -15,7 +15,7 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, count
 from math import comb
@@ -83,7 +83,8 @@ def vertex_count(n: int, *, caps: Caps = DEFAULT_CAPS) -> int:
 @lru_cache(maxsize=32)
 def canonical_masks(n: int) -> tuple[int, ...]:
     """All masks in canonical vertex order: cardinality ascending, mask ascending."""
-    return tuple(sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m)))
+    # sorted is stable, so masks stay ascending within each cardinality
+    return tuple(sorted(range(1, 1 << n), key=int.bit_count))
 
 
 def class_offset(n: int, s: int) -> int:
@@ -356,32 +357,20 @@ def _meeting_runs(n: int, u: int) -> Iterator[tuple[int, int]]:
         yield lo, top
 
 
-@dataclass(frozen=True)
-class ExtensionMap:
-    """Vertex classification for the step from G(n) to G(n+1).
+def extension_map(
+    n: int, *, caps: Caps = DEFAULT_CAPS
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Classify the vertices of G(n+1) relative to G(n): (erstwhile, replicas, new_singleton).
 
     Every vertex of G(n+1) is either an erstwhile vertex (its mask avoids the
     new element), the replica of an erstwhile vertex (mask with the new
     element added), or the new singleton {a_{n+1}}. Each erstwhile vertex is
     adjacent to its own replica, and the replicas together with the new
-    singleton induce a complete subgraph of order 2^n.
+    singleton induce a complete subgraph of order 2^n. Erstwhile vertices
+    and replicas come in canonical order of G(n), replica i from vertex i.
     """
-
-    n: int
-    erstwhile: tuple[int, ...] = field(repr=False)
-    replicas: tuple[int, ...] = field(repr=False)
-    new_singleton: int = 0
-
-
-def extension_map(n: int, *, caps: Caps = DEFAULT_CAPS) -> ExtensionMap:
-    """Classify the vertices of G(n+1) relative to G(n)."""
     check_ground_size(n + 1, caps.count_max_n)
     check_ground_size(n, caps.count_max_n)
     old = canonical_masks(n)
     new_bit = 1 << n
-    return ExtensionMap(
-        n=n,
-        erstwhile=old,
-        replicas=tuple(m | new_bit for m in old),
-        new_singleton=new_bit,
-    )
+    return old, tuple(m | new_bit for m in old), new_bit

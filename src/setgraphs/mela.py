@@ -83,13 +83,13 @@ def check_divisibility(max_index: int, *, caps: Caps = DEFAULT_CAPS) -> ClaimVer
     within the sequence cap; the i = 1 case is degenerate (every quotient is
     m_k itself) and is noted rather than refuted.
     """
-    # i and k both run to max_index; the messages name each bound
+    # i and k both run to max_index, so the pair k = 2, i = max_index bounds it
     if max_index < 2:
-        raise ValueError("need max_i >= 2 and max_k >= 2 for a non-trivial check")
+        raise ValueError(f"need max_index >= 2 for a non-trivial check, got {max_index}")
     if 2 * max_index > caps.mela_max_index:
         raise CapExceeded(
-            f"divisibility check needs k*i <= {caps.mela_max_index}; "
-            f"got max_i={max_index}, max_k={max_index}"
+            f"divisibility check needs 2*max_index <= {caps.mela_max_index}; "
+            f"got max_index={max_index}"
         )
     m = mela(caps.mela_max_index, caps=caps)
     tested = []

@@ -8,13 +8,10 @@ canonical vertex order so exports are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .config import DEFAULT_CAPS, CapExceeded, Caps
 from .core import (
     Graph,
     _bit_positions,
-    adjacent,
     canonical_masks,
     check_ground_size,
     full_mask,
@@ -23,35 +20,14 @@ from .core import (
 from .oracle import dominating_exact, max_cliques_exact
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """A proper coloring of G(n): one color index per vertex in canonical order."""
-
-    n: int
-    colors: tuple[int, ...]
-    color_count: int
-
-    def conflict(self) -> tuple[int, int] | None:
-        """Two adjacent masks that share a color, or None; checked against the
-        adjacency predicate, class by class."""
-        classes: dict[int, list[int]] = {}
-        for m, c in zip(canonical_masks(self.n), self.colors):
-            classes.setdefault(c, []).append(m)
-        for members in classes.values():
-            for i, u in enumerate(members):
-                for v in members[i + 1 :]:
-                    if adjacent(u, v):
-                        return u, v
-        return None
-
-
-def chromatic_coloring(n: int, *, caps: Caps = DEFAULT_CAPS) -> Coloring:
-    """A proper coloring with exactly 2^(n-1) colors.
+def chromatic_coloring(n: int, *, caps: Caps = DEFAULT_CAPS) -> tuple[tuple[int, ...], ...]:
+    """A proper coloring with exactly 2^(n-1) colors, as its color classes.
 
     Complementary subsets are disjoint, hence non-adjacent, so each pair
-    {S, complement(S)} shares one color; the full set (whose complement is
-    empty) gets a color of its own. Together with a clique of size 2^(n-1)
-    this certifies the chromatic number exactly.
+    (S, complement(S)) shares one color, for the subsets S without a_n in
+    ascending mask order; the full set (whose complement is empty) gets a
+    color of its own, last. Together with a clique of size 2^(n-1) this
+    certifies the chromatic number exactly.
     """
     check_ground_size(n, caps.count_max_n)
     if n > caps.materialize_max_n:
@@ -59,18 +35,7 @@ def chromatic_coloring(n: int, *, caps: Caps = DEFAULT_CAPS) -> Coloring:
             f"explicit coloring capped at n <= {caps.materialize_max_n}, got n={n}"
         )
     full = full_mask(n)
-    color_of: dict[int, int] = {}
-    next_color = 0
-    for m in canonical_masks(n):
-        if m in color_of:
-            continue
-        color_of[m] = next_color
-        partner = full ^ m
-        if partner:
-            color_of[partner] = next_color
-        next_color += 1
-    colors = tuple(color_of[m] for m in canonical_masks(n))
-    return Coloring(n, colors, next_color)
+    return (*((s, full ^ s) for s in range(1, 1 << (n - 1))), (full,))
 
 
 def chromatic_number(n: int, *, caps: Caps = DEFAULT_CAPS) -> int:
@@ -78,15 +43,6 @@ def chromatic_number(n: int, *, caps: Caps = DEFAULT_CAPS) -> int:
     clique lower bound exactly."""
     check_ground_size(n, caps.count_max_n)
     return 1 << (n - 1)
-
-
-@dataclass(frozen=True)
-class CliqueSet:
-    """All maximum cliques of G(n), as mask tuples in canonical order."""
-
-    n: int
-    size: int
-    cliques: tuple[tuple[int, ...], ...]
 
 
 def clique_number(n: int, *, caps: Caps = DEFAULT_CAPS) -> int:
@@ -101,18 +57,14 @@ def clique_witness(n: int, *, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
     return tuple(m for m in canonical_masks(n) if m & 1)
 
 
-def max_cliques(g: Graph, *, caps: Caps = DEFAULT_CAPS) -> CliqueSet:
-    """Exhaustive maximum-clique enumeration (oracle path)."""
+def max_cliques(g: Graph, *, caps: Caps = DEFAULT_CAPS) -> tuple[tuple[int, ...], ...]:
+    """Every maximum clique, as a mask tuple: exhaustive enumeration (oracle path)."""
     if g.n > caps.clique_oracle_max_n:
         raise CapExceeded(
             f"maximum-clique enumeration capped at n <= {caps.clique_oracle_max_n}, got n={g.n}"
         )
     masks = canonical_masks(g.n)
-    cliques = tuple(
-        tuple(masks[i] for i in clique)
-        for clique in max_cliques_exact(g)
-    )
-    return CliqueSet(g.n, len(cliques[0]) if cliques else 0, cliques)
+    return tuple(tuple(masks[i] for i in clique) for clique in max_cliques_exact(g))
 
 
 def independence_number(n: int, *, caps: Caps = DEFAULT_CAPS) -> tuple[int, tuple[int, ...]]:

@@ -20,13 +20,14 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import holes, invariants, parameters
 from .config import CANONICAL_ORDER_TAG, DEFAULT_CAPS, Caps
 from .core import (
     Graph,
     _bit_positions,
+    adjacent,
     canonical_masks,
     extension_map,
     full_mask,
@@ -195,29 +196,37 @@ def _c8(n: int, caps: Caps, top: int | None) -> dict | None:
             return {"n": n, "expected": rec, "actual": brute}
 
 
+def _partition_gap(parts: Sequence[int], n: int) -> dict | None:
+    """None when parts holds each mask of G(n) exactly once, else the masks
+    it misses and those it holds too often, each ascending."""
+    masks = range(1, 1 << n)
+    if sorted(parts) == list(masks):
+        return None
+    held, want = Counter(parts), Counter(masks)
+    return {"missing": sorted(want - held), "surplus": sorted(held - want)}
+
+
 def _c9(n: int, caps: Caps, top: int | None) -> dict | None:
     lhs = vertex_count(n + 1, caps=caps) if n + 1 <= caps.count_max_n else None
     if lhs is not None and lhs != 2 * vertex_count(n, caps=caps) + 1:
         return {"n": n, "expected": 2 * vertex_count(n, caps=caps) + 1, "actual": lhs}
     if n <= top:
         # erstwhile, replicas and the new singleton hold each mask of G(n+1) once
-        em = extension_map(n, caps=caps)
-        parts = (*em.erstwhile, *em.replicas, em.new_singleton)
-        masks = range(1, 1 << (n + 1))
-        if sorted(parts) != list(masks):
-            held, want = Counter(parts), Counter(masks)
-            return {"n": n, "expected": "each mask of G(n+1) once",
-                    "actual": {"missing": sorted(want - held), "surplus": sorted(held - want)}}
+        erstwhile, replicas, new_singleton = extension_map(n, caps=caps)
+        gap = _partition_gap((*erstwhile, *replicas, new_singleton), n + 1)
+        if gap is not None:
+            return {"n": n, "expected": "each mask of G(n+1) once", "actual": gap}
 
 
 def _c10(n: int, caps: Caps, top: int | None) -> dict | tuple[dict, str] | None:
-    found = parameters.max_cliques(materialize(n, caps=caps), caps=caps)
+    cliques = parameters.max_cliques(materialize(n, caps=caps), caps=caps)
+    size = len(cliques[0]) if cliques else 0
     expected_size = parameters.clique_number(n, caps=caps)
-    if found.size != expected_size:
-        return {"n": n, "expected": expected_size, "actual": found.size}
-    if len(found.cliques) != 2:
-        return ({"n": n, "expected": 2, "actual": len(found.cliques),
-                 "witness": {"cliques": [list(c) for c in found.cliques]}},
+    if size != expected_size:
+        return {"n": n, "expected": expected_size, "actual": size}
+    if len(cliques) != 2:
+        return ({"n": n, "expected": 2, "actual": len(cliques),
+                 "witness": {"cliques": [list(c) for c in cliques]}},
                 "the clique order 2^(n-1) itself holds at every size tested")
 
 
@@ -245,12 +254,18 @@ def _c12(n: int, caps: Caps, top: int | None) -> dict | None:
 
 def _c13(n: int, caps: Caps, top: int | None) -> dict | None:
     target = parameters.clique_number(n, caps=caps)
-    coloring = parameters.chromatic_coloring(n, caps=caps)
-    if coloring.color_count != target:
-        return {"n": n, "expected": {"colors": target}, "actual": {"colors": coloring.color_count}}
-    clash = coloring.conflict()
-    if clash is not None:
-        return {"n": n, "expected": "proper coloring", "actual": {"same color": list(clash)}}
+    classes = parameters.chromatic_coloring(n, caps=caps)
+    if len(classes) != target:
+        return {"n": n, "expected": {"colors": target}, "actual": {"colors": len(classes)}}
+    for cls in classes:
+        for i, u in enumerate(cls):
+            for v in cls[i + 1 :]:
+                if adjacent(u, v):
+                    return {"n": n, "expected": "proper coloring",
+                            "actual": {"same color": [u, v]}}
+    gap = _partition_gap([m for cls in classes for m in cls], n)
+    if gap is not None:
+        return {"n": n, "expected": "each mask of G(n) once", "actual": gap}
     witness = parameters.clique_witness(n, caps=caps)
     g = materialize(n, caps=caps)
     # the witness as a bitmap of canonical indices: a clique exactly when

@@ -138,10 +138,11 @@ def test_criterion_06_parameter_suite():
     start = time.perf_counter()
     ok = True
     for n in range(1, 13):
-        coloring = chromatic_coloring(n)
+        classes = chromatic_coloring(n)
         witness = clique_witness(n)
-        ok = ok and coloring.color_count == 2 ** (n - 1)
-        ok = ok and coloring.conflict() is None
+        ok = ok and len(classes) == 2 ** (n - 1)
+        ok = ok and not any(u & v for c in classes for i, u in enumerate(c) for v in c[i + 1 :])
+        ok = ok and sorted(m for c in classes for m in c) == list(range(1, 1 << n))
         ok = ok and len(witness) == clique_number(n)
         ok = ok and all(u & v for i, u in enumerate(witness) for v in witness[i + 1 :])
     for n in range(1, 5):

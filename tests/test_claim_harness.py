@@ -105,8 +105,8 @@ def _no_result(fn):
 def _doubled_replica(fn):
     # the new singleton repeats the last replica: the part sizes still add up
     def perturbed(*args, **kwargs):
-        em = fn(*args, **kwargs)
-        return dataclasses.replace(em, new_singleton=em.replicas[-1])
+        erstwhile, replicas, _ = fn(*args, **kwargs)
+        return erstwhile, replicas, replicas[-1]
 
     return perturbed
 
@@ -144,27 +144,26 @@ def _only_at(n0, perturb):
     return wrap
 
 
-def _last_clique_dropped(fn):
+def _second_members_swapped(fn):
+    # the first two color classes trade their second members: the count
+    # stays, and from n = 3, where both are pairs, each holds two masks that meet
     def perturbed(*args, **kwargs):
-        found = fn(*args, **kwargs)
-        return dataclasses.replace(found, cliques=found.cliques[:-1])
+        classes = fn(*args, **kwargs)
+        if len(classes) < 3:  # below n = 3 the second class is the full set alone
+            return classes
+        (a, b), (c, d), *rest = classes
+        return ((a, d), (c, b), *rest)
 
     return perturbed
 
 
-def _extra_color(fn):
+def _member_recolored(fn):
+    # the last class holds the first mask instead of the full set: the count
+    # and properness stay, and from n = 2 one mask is colored twice and the
+    # full set not at all
     def perturbed(*args, **kwargs):
-        coloring = fn(*args, **kwargs)
-        return dataclasses.replace(coloring, color_count=coloring.color_count + 1)
-
-    return perturbed
-
-
-def _one_color(fn):
-    # every vertex in color 0, with the color count left as it was
-    def perturbed(*args, **kwargs):
-        coloring = fn(*args, **kwargs)
-        return dataclasses.replace(coloring, colors=(0,) * len(coloring.colors))
+        classes = fn(*args, **kwargs)
+        return (*classes[:-1], (classes[0][0],))
 
     return perturbed
 
@@ -204,7 +203,7 @@ ROUTES = [
     ("C9", "verify.extension_map", _doubled_replica,
      {"n": 1, "expected": "each mask of G(n+1) once", "actual": {"missing": [2], "surplus": [3]}}),
     ("C10", "parameters.clique_number", _plus_one, {"n": 2, "expected": 3, "actual": 2}),
-    ("C10", "parameters.max_cliques", _last_clique_dropped,
+    ("C10", "parameters.max_cliques", _last_dropped,
      {"n": 2, "expected": 2, "actual": 1, "witness": {"cliques": [[1, 3]]}}),
     ("C11", "holes.triangle_count_claimed", _plus_one, {"n": 2, "expected": 1, "actual": 0}),
     ("C11", "holes.triangle_count_exact", _plus_one, {"n": 2, "expected": 0, "actual": 1}),
@@ -214,8 +213,8 @@ ROUTES = [
      {"n": 1, "expected": 1, "actual": 2, "witness": {"mask": 1}}),
     ("C13", "parameters.clique_number", _plus_one,
      {"n": 1, "expected": {"colors": 2}, "actual": {"colors": 1}}),
-    ("C13", "parameters.chromatic_coloring", _extra_color,
-     {"n": 1, "expected": {"colors": 1}, "actual": {"colors": 2}}),
+    ("C13", "parameters.chromatic_coloring", _last_dropped,
+     {"n": 1, "expected": {"colors": 1}, "actual": {"colors": 0}}),
     ("C13", "parameters.clique_witness", _last_dropped,
      {"n": 1, "expected": {"clique order": 1}, "actual": {"witness": []}}),
     ("C13", "verify.chromatic_exact", _plus_one, {"n": 1, "expected": 1, "actual": 2}),
@@ -282,8 +281,10 @@ LATER_ROUTES = [
       "actual": {"cardinality": 1, "degrees": [0, 1]}}),
     ("C5", "verify.materialize", _apex_edge_dropped, None, (2,),
      {"n": 2, "expected": [2], "actual": []}),
-    ("C13", "parameters.chromatic_coloring", _one_color, None, (1, 2),
-     {"n": 2, "expected": "proper coloring", "actual": {"same color": [1, 3]}}),
+    ("C13", "parameters.chromatic_coloring", _member_recolored, None, (1, 2),
+     {"n": 2, "expected": "each mask of G(n) once", "actual": {"missing": [3], "surplus": [1]}}),
+    ("C13", "parameters.chromatic_coloring", _second_members_swapped, None, (1, 2, 3),
+     {"n": 3, "expected": "proper coloring", "actual": {"same color": [1, 5]}}),
     ("C15", "verify.materialize", _apex_edge_dropped, None, (1, 2),
      {"n": 2, "expected": 2, "actual": 1}),
     ("C20", "holes.triangle_count_corrected", _replaced_at(2, 2),

@@ -443,6 +443,18 @@ def test_mela_cli(tmp_path):
     assert all(c["status"] == "CONFIRMED" for c in doc["claims"])
 
 
+@pytest.mark.parametrize("mela_cap, max_index, code, message", [
+    (None, 1, 2, "setgraph: need max_index >= 2 for a non-trivial check, got 1\n"),
+    (10, 6, 3, "setgraph: resource guard: divisibility check needs 2*max_index <= 10; "
+               "got max_index=6\n"),
+])
+def test_mela_refusal_names_max_index(tmp_path, capsys, mela_cap, max_index, code, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"caps": {"mela_max_index": mela_cap}} if mela_cap else {}))
+    assert run_cli("--config", str(config), "mela", "--max-index", str(max_index)) == code
+    assert capsys.readouterr() == ("", message)
+
+
 def test_usage_and_guard_exit_codes(tmp_path):
     assert run_cli("verify", "--claims", "C99", "--max-n", "3") == 2
     assert run_cli("build", "15", "--format", "csv", "--out", str(tmp_path / "x.csv")) == 3

@@ -270,33 +270,25 @@ def test_cap_overrides_property():
 
 
 def test_extension_map_counts_and_examples():
-    em = extension_map(2)
-    assert em.erstwhile == (1, 2, 3)
-    assert em.replicas == (5, 6, 7)
-    assert em.new_singleton == 4
-    em1 = extension_map(1)
-    assert em1.erstwhile == (1,)
-    assert em1.replicas == (3,)
-    assert em1.new_singleton == 2
+    assert extension_map(2) == ((1, 2, 3), (5, 6, 7), 4)
+    assert extension_map(1) == ((1,), (3,), 2)
     for n in range(1, 11):
-        em = extension_map(n)
-        assert len(em.erstwhile) == 2**n - 1
-        assert len(em.replicas) == 2**n - 1
+        erstwhile, replicas, new_singleton = extension_map(n)
+        assert len(erstwhile) == 2**n - 1
+        assert len(replicas) == 2**n - 1
         # the three parts partition the masks of G(n+1) by the new element
-        assert not any(m & em.new_singleton for m in em.erstwhile)
-        assert all(m & em.new_singleton for m in em.replicas)
-        assert sorted((*em.erstwhile, *em.replicas, em.new_singleton)) == list(
-            range(1, 1 << (n + 1))
-        )
+        assert not any(m & new_singleton for m in erstwhile)
+        assert all(m & new_singleton for m in replicas)
+        assert sorted((*erstwhile, *replicas, new_singleton)) == list(range(1, 1 << (n + 1)))
 
 
 def test_extension_parallel_linkage_and_replica_clique():
     for n in range(1, 11):
-        em = extension_map(n)
-        for m, replica in zip(em.erstwhile, em.replicas):
-            assert replica == m | em.new_singleton
+        erstwhile, replicas, new_singleton = extension_map(n)
+        for m, replica in zip(erstwhile, replicas):
+            assert replica == m | new_singleton
             assert adjacent(m, replica)
-        block = list(em.replicas) + [em.new_singleton]
+        block = [*replicas, new_singleton]
         assert len(block) == 2**n
         for i, u in enumerate(block):
             for v in block[i + 1 :]:

@@ -44,14 +44,13 @@ def test_clique_number():
 
 
 def test_max_cliques_small():
-    cs2 = max_cliques(materialize(2))
-    assert cs2.size == 2 and len(cs2.cliques) == 2
-    cs3 = max_cliques(materialize(3))
-    assert cs3.size == 4 and len(cs3.cliques) == 4
+    assert max_cliques(materialize(2)) == ((1, 3), (2, 3))
+    cliques = max_cliques(materialize(3))
+    assert len(cliques) == 4 and {len(c) for c in cliques} == {4}
     # the three element stars plus the all-pairs-plus-full family
-    as_sets = {frozenset(c) for c in cs3.cliques}
+    as_sets = {frozenset(c) for c in cliques}
     assert frozenset({0b011, 0b101, 0b110, 0b111}) in as_sets
-    for clique in cs3.cliques:
+    for clique in cliques:
         for i, u in enumerate(clique):
             for v in clique[i + 1 :]:
                 assert u & v
@@ -59,9 +58,9 @@ def test_max_cliques_small():
 
 def test_max_clique_counts_pinned():
     for n, count in MAX_CLIQUE_COUNTS.items():
-        found = max_cliques(materialize(n))
-        assert found.size == 2 ** (n - 1)
-        assert len(found.cliques) == count
+        cliques = max_cliques(materialize(n))
+        assert {len(c) for c in cliques} == {2 ** (n - 1)}
+        assert len(cliques) == count
 
 
 def _networkx_graph(nx, n):
@@ -77,11 +76,11 @@ def test_max_cliques_match_networkx():
     for n in range(1, 7):
         maximal = [frozenset(c) for c in nx.find_cliques(_networkx_graph(nx, n))]
         size = max(map(len, maximal))
-        found = max_cliques(materialize(n))
-        assert found.size == size
-        assert {frozenset(c) for c in found.cliques} == {c for c in maximal if len(c) == size}
+        cliques = max_cliques(materialize(n))
+        assert {len(c) for c in cliques} == {size}
+        assert {frozenset(c) for c in cliques} == {c for c in maximal if len(c) == size}
         if n in MAX_CLIQUE_COUNTS:
-            assert len(found.cliques) == MAX_CLIQUE_COUNTS[n]
+            assert len(cliques) == MAX_CLIQUE_COUNTS[n]
 
 
 def test_chromatic_number_within_networkx_greedy_bound():
@@ -100,10 +99,13 @@ def test_max_cliques_cap():
 
 def test_chromatic_coloring():
     for n in range(1, 13):
-        coloring = chromatic_coloring(n)
-        assert coloring.color_count == 2 ** (n - 1) == chromatic_number(n)
-        assert coloring.conflict() is None
-        assert len(coloring.colors) == 2**n - 1
+        classes = chromatic_coloring(n)
+        assert len(classes) == 2 ** (n - 1) == chromatic_number(n)
+        # proper: no class holds two masks that meet
+        assert not any(adjacent(u, v) for c in classes for u in c for v in c)
+        # the classes partition the masks of G(n)
+        assert sorted(m for c in classes for m in c) == list(range(1, 1 << n))
+    assert chromatic_coloring(3) == ((1, 6), (2, 5), (3, 4), (7,))
     with pytest.raises(CapExceeded, match="explicit coloring"):
         chromatic_coloring(15)
 

@@ -76,9 +76,9 @@ def test_c10_refuted_at_3():
     assert ce["n"] == 3
     assert ce["expected"] == 2
     assert ce["actual"] == 4
-    found = max_cliques(materialize(ce["n"]))
-    assert len(found.cliques) == ce["actual"]
-    assert [list(c) for c in found.cliques] == ce["witness"]["cliques"]
+    cliques = max_cliques(materialize(ce["n"]))
+    assert len(cliques) == ce["actual"]
+    assert [list(c) for c in cliques] == ce["witness"]["cliques"]
 
 
 def test_everything_confirmed_at_2():
