@@ -2,7 +2,7 @@
 
 Every vertex of cardinality k has degree 2^n - 2^(n-k) - 1. The closed form,
 the inclusion-exclusion sum over element stars, and the popcount of the
-explicit adjacency row (`Graph.degrees`, which checks the rows first) must
+explicit adjacency row (`Graph.degrees`, of rows checked when made) must
 agree vertex by vertex, and the tightness number of a subset (how many other
 subsets it meets) is just its degree again.
 """

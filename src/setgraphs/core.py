@@ -9,14 +9,13 @@ ascending), which fixes the v_{s,i} labels used everywhere.
 
 `Graph` is the one type for a graph held as explicit adjacency bit rows:
 `materialize` returns G(n) as one, and the exact oracles take any Graph.
-`Graph.degrees` checks the rows once per graph, for every kernel that reads
-them.
+A Graph checks its rows when it is made, so every kernel reads checked rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate, count
 from math import comb
 from operator import add
@@ -168,7 +167,7 @@ def _submasks(m: int) -> Iterator[int]:
         sub = (sub - 1) & m
 
 
-# Up to this many vertices `Graph.degrees` checks every set bit against its
+# Up to this many vertices a Graph checks every set bit against its
 # mirror. That covers the largest oracle graph, G(6) with 63 vertices, at
 # about 1 ms for `Graph.complete(64)` or G(6); G(12) has 16 million set bits,
 # so larger graphs get the O(V) conditions instead.
@@ -179,14 +178,49 @@ _FULL_CHECK_MAX_VERTICES = 64
 class Graph:
     """Explicit graph as adjacency bit rows: bit v of rows[u] set iff u ~ v.
 
-    Rows are meant to be symmetric and irreflexive. `materialize` builds
-    them so for G(n), in the canonical vertex order; the constructors below
-    build small textbook graphs for the oracle tests. Nothing is checked at
-    construction: the counting kernels read `degrees`, which checks the rows
-    on first use and keeps the result.
+    `materialize` builds the rows of G(n), in the canonical vertex order;
+    the constructors below build small textbook graphs for the oracle tests.
+    Every Graph checks its rows when it is made (see __post_init__) and
+    keeps their popcounts as `degrees`, which equality and hashing ignore.
     """
 
     rows: tuple[int, ...]
+    degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        """Set `degrees`, the row popcounts, once the rows are checked to be
+        a simple undirected graph.
+
+        No row may hold its own bit. Up to _FULL_CHECK_MAX_VERTICES vertices,
+        each set bit must also lie within the vertex range and be matched by
+        its mirror, which is exact. Above, two necessary conditions of O(V)
+        big-int operations stand in: the rows added as integers (bit v of
+        row u weighs 2^v) equal the degrees weighted by 2^u, as when each
+        column sum equals its row sum; and half of all set bits lie above
+        the diagonal, which catches directed cycles such as 0 -> 1 -> 2 ->
+        3 -> 0. Asymmetric rows that meet both pass; only an O(|E|) scan
+        catches every such case. Either check makes sum d even, so the
+        Goodman term sum d(V-1-d), which is V * sum d mod 2, is even too.
+
+        Rows that fail raise ValueError.
+        """
+        rows = self.rows
+        v = len(rows)
+        if any(row >> u & 1 for u, row in enumerate(rows)):
+            raise ValueError("rows are not irreflexive: a row holds its own bit")
+        degrees = tuple(map(int.bit_count, rows))
+        if v <= _FULL_CHECK_MAX_VERTICES:
+            for u, row in enumerate(rows):
+                if row >> v:
+                    raise ValueError(f"row {u} has bits beyond the vertex range")
+                for w in _bit_positions(row):
+                    if not rows[w] >> u & 1:
+                        raise ValueError(f"rows are not symmetric: asymmetric pair ({u}, {w})")
+        elif sum(rows) != sum(d << u for u, d in enumerate(degrees)):
+            raise ValueError("rows are not symmetric: column sums differ from row sums")
+        elif 2 * sum((row >> u).bit_count() for u, row in enumerate(rows)) != sum(degrees):
+            raise ValueError("rows are not symmetric: bits above the diagonal are not half")
+        object.__setattr__(self, "degrees", degrees)
 
     @property
     def num_vertices(self) -> int:
@@ -225,43 +259,6 @@ class Graph:
     def edgeless(cls, m: int) -> "Graph":
         return cls((0,) * m)
 
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        """Row popcounts, once the rows are checked to be a simple undirected graph.
-
-        No row may hold its own bit. Up to _FULL_CHECK_MAX_VERTICES vertices,
-        each set bit must also lie within the vertex range and be matched by
-        its mirror, which is exact. Above, two necessary conditions of O(V)
-        big-int operations stand in: the rows added as integers (bit v of
-        row u weighs 2^v) equal the degrees weighted by 2^u, as when each
-        column sum equals its row sum; and half of all set bits lie above
-        the diagonal, which catches directed cycles such as 0 -> 1 -> 2 ->
-        3 -> 0. Asymmetric rows that meet both pass; only an O(|E|) scan
-        catches every such case. Either check makes sum d even, so the
-        Goodman term sum d(V-1-d), which is V * sum d mod 2, is even too.
-
-        Rows that fail raise ValueError. The result is kept in the instance
-        dict, so each Graph is checked once, and equality and hashing still
-        see only the rows.
-        """
-        rows = self.rows
-        v = len(rows)
-        if any(row >> u & 1 for u, row in enumerate(rows)):
-            raise ValueError("rows are not irreflexive: a row holds its own bit")
-        degrees = tuple(map(int.bit_count, rows))
-        if v <= _FULL_CHECK_MAX_VERTICES:
-            for u, row in enumerate(rows):
-                if row >> v:
-                    raise ValueError(f"row {u} has bits beyond the vertex range")
-                for w in _bit_positions(row):
-                    if not rows[w] >> u & 1:
-                        raise ValueError(f"rows are not symmetric: asymmetric pair ({u}, {w})")
-        elif sum(rows) != sum(d << u for u, d in enumerate(degrees)):
-            raise ValueError("rows are not symmetric: column sums differ from row sums")
-        elif 2 * sum((row >> u).bit_count() for u, row in enumerate(rows)) != sum(degrees):
-            raise ValueError("rows are not symmetric: bits above the diagonal are not half")
-        return degrees
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as index pairs (u, v), u < v, ascending."""
         for u, row in enumerate(self.rows):
@@ -286,11 +283,11 @@ _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 def materialize(n: int, *, caps: Caps = DEFAULT_CAPS) -> Graph:
     """G(n) as explicit adjacency rows in canonical order; memory grows as V^2/8.
 
-    G(n) is unique and a Graph is frozen, so each one is built once per
-    process, kept with its checked `degrees`, and returned to every later
-    call (see _materialize). The caps are checked on every call, in front of
-    the cache, so a lowered cap still refuses a graph built before. The
-    cache keeps the 16 most recent graphs, one per n. V^2/8 grows about 4x
+    G(n) is unique and a Graph is frozen, so each one is built and checked
+    once per process, kept, and returned to every later call (see
+    _materialize). The caps are checked on every call, in front of the
+    cache, so a lowered cap still refuses a graph built before. The cache
+    keeps the 16 most recent graphs, one per n. V^2/8 grows about 4x
     per n, so together they take at most about 4/3 of the largest graph
     built: a third more than that graph alone.
     """

@@ -18,7 +18,7 @@ Per-vertex incidence has three routes:
   t(v) = |E| - d(v) - sum_{w in comp(v)} d(w) + C(V-1-d(v), 2) - t_c(v)
   (t_c(v): complement triangles at v) on explicit complement rows;
 * the scalar primitive_degree intersects v's row with each neighbour's row;
-  beyond the row check of `Graph.degrees` it shares no code with the
+  beyond the row check of every `Graph` it shares no code with the
   identity, so it stays the reference for the tests and claim C7;
 * _incidence_by_size runs the same identity at one vertex per cardinality,
   in mask space, and builds no graph. primitive_degrees on full rows stays
@@ -66,8 +66,8 @@ def triangle_count_exact(g: Graph, *, caps: Caps = DEFAULT_CAPS) -> int:
     counts twice each vertex triple holding one or two edges. For G(n) the
     complement is the sparse disjointness graph.
 
-    Rows that fail the check of `Graph.degrees`, or that give a negative
-    count, raise ValueError.
+    Rows that give a negative count raise ValueError: they passed the O(V)
+    row check of a Graph above 64 vertices, yet are not symmetric.
     """
     if g.n > caps.triangle_exact_max_n:
         raise CapExceeded(
@@ -140,10 +140,8 @@ def triangle_count_corrected(n: int, *, caps: Caps = DEFAULT_CAPS) -> int:
 def primitive_degree(g: Graph, m: int) -> int:
     """Number of triangles containing the vertex of mask m.
 
-    Rows that fail the check of `Graph.degrees`, or whose doubled incidence
-    comes out odd, raise ValueError.
+    Rows whose doubled incidence comes out odd raise ValueError.
     """
-    g.degrees  # checks the rows, once per graph
     v = canonical_index(g.n, m)
     row_v = g.rows[v]
     twice = sum((row_v & g.rows[u]).bit_count() for u in _bit_positions(row_v))
@@ -164,8 +162,8 @@ def primitive_degrees(g: Graph) -> tuple[int, ...]:
     w < u, is read once: its AND goes to both ends, and each end's degree
     to the other.
 
-    Rows that fail the check of `Graph.degrees`, that give a negative count,
-    or whose doubled complement incidence comes out odd raise ValueError.
+    Rows that give a negative count, or whose doubled complement incidence
+    comes out odd, raise ValueError.
     """
     v = g.num_vertices
     degrees = g.degrees

@@ -84,7 +84,7 @@ def edge_count_recursive(n: int, *, caps: Caps = DEFAULT_CAPS) -> int:
 
 
 def edge_count_brute(g: Graph) -> int:
-    """Half the degree sum; rows that fail the check of `Graph.degrees` raise ValueError."""
+    """Half the degree sum of rows that the Graph checked when it was built."""
     return sum(g.degrees) // 2
 
 

@@ -1,12 +1,12 @@
 """Exact algorithms on small explicit graphs, used as independent ground truth.
 
 Every search here is deterministic (fixed pivot and branch order), checks
-its vertex cap and then the rows (`Graph.degrees`), and is unit-tested on
-textbook graphs (`Graph.complete`, `Graph.path`, `Graph.from_edges`) before
-it adjudicates any claim about subset intersection graphs, where it reads the
-rows of `materialize(n)` as they are. Independence and vertex cover are not
-searches of their own: alpha(G) is the clique number of the complement, and
-the minimum vertex cover is V - alpha(G).
+its vertex cap, reads rows that each Graph checked when it was made, and is
+unit-tested on textbook graphs (`Graph.complete`, `Graph.path`,
+`Graph.from_edges`) before it adjudicates any claim about G(n), where it
+reads the rows of `materialize(n)` as they are. Independence and vertex
+cover are not searches of their own: alpha(G) is the clique number of the
+complement, and the minimum vertex cover is V - alpha(G).
 Instances are capped at sizes where bespoke branch-and-bound finishes in
 seconds; there are no heuristic fallbacks.
 """
@@ -25,7 +25,6 @@ SEARCH_MAX_VERTICES = 31
 def _check_cap(g: Graph, cap: int, what: str) -> None:
     if g.num_vertices > cap:
         raise CapExceeded(f"{what} handles at most {cap} vertices, got {g.num_vertices}")
-    g.degrees  # checks the rows, once per graph
 
 
 def enum_triangles(g: Graph) -> list[tuple[int, int, int]]:

@@ -19,14 +19,15 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
+from operator import and_, or_
 from typing import Callable, Sequence
 
 from . import holes, invariants, parameters
 from .config import CANONICAL_ORDER_TAG, DEFAULT_CAPS, Caps
 from .core import (
     Graph,
-    _bit_positions,
     adjacent,
     canonical_masks,
     extension_map,
@@ -36,6 +37,9 @@ from .core import (
 )
 from .mela import PRODUCT_CAP_INDEX, check_closure, check_divisibility
 from .oracle import (
+    CHROMATIC_MAX_VERTICES,
+    CLIQUE_MAX_VERTICES,
+    SEARCH_MAX_VERTICES,
     chromatic_exact,
     dominating_exact,
     enum_triangles,
@@ -56,7 +60,13 @@ class Claim:
     check: Callable[[int, Caps], ClaimVerdict]
 
 
-_EMPTY_RANGE = "needs n >= {min_n} within cap {cap}"
+_EMPTY_RANGE = "needs {} >= {} within cap {}"  # n or a Mela index, its least value, the cap
+
+# the largest n whose G(n), with 2^n - 1 vertices, each oracle's vertex bound admits
+_CLIQUE_MAX_N, _CHROMATIC_MAX_N, _SEARCH_MAX_N = (
+    (v + 1).bit_length() - 1
+    for v in (CLIQUE_MAX_VERTICES, CHROMATIC_MAX_VERTICES, SEARCH_MAX_VERTICES)
+)
 
 
 def _swept(
@@ -65,16 +75,15 @@ def _swept(
     cap: Callable[[Caps], int],
     *,
     top: Callable[[Caps], int] | None = None,
-    skip: str = _EMPTY_RANGE,
     notes: tuple[str, ...] = (),
 ) -> Claim:
     """A claim decided by sweeping n upward over the range that cap(caps) allows.
 
     count_max_n also bounds every range. An empty range is SKIPPED with
-    skip.format(min_n=..., cap=...). probe(n, caps, top) compares the two
-    routes at one n; top = min(max_n, top(caps)) bounds a costlier route. It
-    returns None where the routes agree, else a counterexample, or a
-    (counterexample, note) pair when the note holds only for that failure.
+    _EMPTY_RANGE, which names the cap's value. probe(n, caps, top) compares
+    the two routes at one n; top = min(max_n, top(caps)) bounds a costlier
+    route. It returns None where the routes agree, else a counterexample, or
+    a (counterexample, note) pair when the note holds only for that failure.
     The first counterexample refutes over the sizes swept so far; the verdict
     carries the clamp notes and the note if the probe gave one, and no notes
     otherwise. A confirmation carries the clamp notes and `notes` formatted
@@ -85,7 +94,7 @@ def _swept(
         bound = min(cap(caps), caps.count_max_n)
         ns = range(min_n, min(max_n, bound) + 1)
         if not ns:
-            return _skipped(claim_id, skip.format(min_n=min_n, cap=bound))
+            return _skipped(claim_id, _EMPTY_RANGE.format("n", min_n, bound))
         clamp_notes = []
         if max_n > bound:
             clamp_notes.append(f"range clamped to n <= {bound} (cap); n <= {max_n} requested")
@@ -266,17 +275,13 @@ def _c13(n: int, caps: Caps, top: int | None) -> dict | None:
     gap = _partition_gap([m for cls in classes for m in cls], n)
     if gap is not None:
         return {"n": n, "expected": "each mask of G(n) once", "actual": gap}
+    # distinct masks of G(n) that share an element are pairwise adjacent
     witness = parameters.clique_witness(n, caps=caps)
-    g = materialize(n, caps=caps)
-    # the witness as a bitmap of canonical indices: a clique exactly when
-    # each member's closed row covers every member
-    index = {m: i for i, m in enumerate(g.masks)}
-    members = sum(1 << index[m] for m in set(witness) if m in index)
-    if not (len(witness) == target == members.bit_count() and all(
-            (g.rows[i] | 1 << i) & members == members for i in _bit_positions(members))):
+    if not (len(witness) == len(set(witness)) == target
+            and all(0 < m < 1 << n for m in witness) and reduce(and_, witness)):
         return {"n": n, "expected": {"clique order": target}, "actual": {"witness": list(witness)}}
     if n <= top:
-        chi = chromatic_exact(g)
+        chi = chromatic_exact(materialize(n, caps=caps))
         if chi != target:
             return {"n": n, "expected": target, "actual": chi}
 
@@ -291,14 +296,16 @@ def _c14(n: int, caps: Caps, top: int | None) -> dict | None:
 
 
 def _c15(n: int, caps: Caps, top: int | None) -> dict | None:
-    g = materialize(n, caps=caps)
-    apex_row = g.rows[g.num_vertices - 1]
-    if apex_row.bit_count() != g.num_vertices - 1:
-        return {"n": n, "expected": g.num_vertices - 1, "actual": apex_row.bit_count()}
+    # masks whose union is the ground set meet every non-empty mask, so they
+    # dominate G(n); one such mask is the least dominating set there is
+    gamma, witness = parameters.domination(n, caps=caps)
+    if not (gamma == len(witness) == 1 and reduce(or_, witness) == full_mask(n)):
+        return {"n": n, "expected": {"dominating set of size": 1},
+                "actual": {"gamma": gamma, "witness": list(witness)}}
     if n <= top:
-        gamma = dominating_exact(g)
-        if gamma != 1:
-            return {"n": n, "expected": 1, "actual": gamma}
+        exact = dominating_exact(materialize(n, caps=caps))
+        if exact != gamma:
+            return {"n": n, "expected": gamma, "actual": exact}
 
 
 def _c16(n: int, caps: Caps, top: int | None) -> dict | None:
@@ -365,7 +372,7 @@ def _c20(n: int, caps: Caps, top: int | None) -> dict | None:
 def _check_c21(max_n: int, caps: Caps) -> ClaimVerdict:
     bound = min(max_n, PRODUCT_CAP_INDEX, caps.mela_max_index)
     if bound < 1:
-        return _skipped("C21", _EMPTY_RANGE.format(min_n=1, cap=bound))
+        return _skipped("C21", _EMPTY_RANGE.format("index", 1, bound))
     return check_closure(bound, caps=caps)
 
 
@@ -373,7 +380,7 @@ def _check_c22(max_n: int, caps: Caps) -> ClaimVerdict:
     # m_{ki} with k, i <= bound must stay within the sequence cap
     bound = min(max_n, PRODUCT_CAP_INDEX, caps.mela_max_index // 2)
     if bound < 2:
-        return _skipped("C22", _EMPTY_RANGE.format(min_n=2, cap=bound))
+        return _skipped("C22", _EMPTY_RANGE.format("index", 2, bound))
     return check_divisibility(bound, caps=caps)
 
 
@@ -384,7 +391,7 @@ REGISTRY: tuple[Claim, ...] = (
            notes=("vertex enumeration cross-checked for n <= {top}",)),
     _swept("C2", "vertices whose subsets have equal cardinality share one degree",
            "d(v_{s,i}) = d(v_{s,j})", 1, _c2,
-           lambda c: min(10, c.materialize_max_n), skip="needs n >= 1 within oracle cap {cap}",
+           lambda c: min(10, c.materialize_max_n),
            notes=("degrees read from explicit adjacency rows",)),
     _swept("C3", "every degree lies between 2^(n-1) - 1 and 2(2^(n-1) - 1)",
            "2^(n-1) - 1 <= d(v) <= 2(2^(n-1) - 1)", 1, _c3,
@@ -396,18 +403,17 @@ REGISTRY: tuple[Claim, ...] = (
            )),
     _swept("C4", "the maximum degree is exactly twice the minimum degree",
            "max_deg(G) = 2 * min_deg(G)", 2, _c4,
-           lambda c: 12, top=lambda c: min(10, c.materialize_max_n), skip="needs n >= 2"),
+           lambda c: 12, top=lambda c: min(10, c.materialize_max_n)),
     _swept("C5", "exactly one vertex, the full set, attains the maximum degree",
            "unique vertex of maximum degree", 2, _c5,
            lambda c: 12, top=lambda c: min(10, c.materialize_max_n),
-           skip="needs n >= 2", notes=("exhaustive degree scan for n <= {top}",)),
+           notes=("exhaustive degree scan for n <= {top}",)),
     _swept("C6", "the minimum degree is odd and the maximum degree is even",
            "min_deg odd, max_deg even", 2, _c6,
-           lambda c: 12, top=lambda c: min(10, c.materialize_max_n), skip="needs n >= 2"),
+           lambda c: 12, top=lambda c: min(10, c.materialize_max_n)),
     _swept("C7", "the full-set vertex lies on |E| - max_deg triangles",
            "dp(v_{n,1}) = |E(G)| - max_deg(G)", 2, _c7,
            lambda c: min(9, holes._exact_max_n(c)),
-           skip="needs n >= 2 within oracle cap {cap}",
            notes=("direct per-vertex triangle incidence at the full-set vertex",)),
     _swept("C8", "edge recursion E(n+1) = 3E(n) + V(n) + C(V(n)+1, 2) matches direct counts",
            "|E(G(n+1))| = 3|E(G(n))| + |V(G(n))| + C(|V(G(n))|+1, 2)", 1, _c8,
@@ -420,41 +426,37 @@ REGISTRY: tuple[Claim, ...] = (
            notes=("extension-map enumeration cross-checked for n <= {top}",)),
     _swept("C10", "the graph has exactly two largest complete subgraphs, of order 2^(n-1)",
            "exactly two largest complete subgraphs K_{2^(n-1)}", 2, _c10,
-           lambda c: min(c.clique_oracle_max_n, c.materialize_max_n),
-           skip="needs n >= 2 within the clique oracle cap"),
+           lambda c: min(c.clique_oracle_max_n, c.materialize_max_n, _CLIQUE_MAX_N)),
     _swept("C11", "triangle recursion h(n+1) = h(n) + C(2^n, 3) + 4|E(n)| matches the exact count",
            "h(G(n+1)) = h(G(n)) + C(2^n, 3) + 4|E(G(n))|", 2, _c11,
-           holes._exact_max_n,
-           skip="needs n >= 2 within exact-count cap {cap}"),
+           holes._exact_max_n),
     _swept("C12", "tightness recursion: new singleton 2^n - 1; erstwhile k -> 2k + 1; replica k -> 2^n + k",
            "tightness recursion parts (i)-(iii)", 1, _c12,
            lambda c: min(10, c.materialize_max_n - 1),
-           skip="needs n >= 1 within oracle cap {cap}",
            notes=("recursion output compared vertex by vertex with definition-level sums",)),
     _swept("C13", "the chromatic number is 2^(n-1)",
            "chi(G(n)) = 2^(n-1)", 1, _c13,
-           lambda c: min(12, c.materialize_max_n), top=lambda c: c.chromatic_oracle_max_n,
+           lambda c: min(12, c.materialize_max_n),
+           top=lambda c: min(c.chromatic_oracle_max_n, _CHROMATIC_MAX_N),
            notes=("certificate (proper coloring + matching clique) for n <= {last}; "
                   "exact search for n <= {top}",)),
     _swept("C14", "the independence number is n",
            "alpha(G(n)) = n", 1, _c14,
-           lambda c: min(c.mis_oracle_max_n, c.materialize_max_n),
-           skip="nothing within the independent-set oracle cap",
+           lambda c: min(c.mis_oracle_max_n, c.materialize_max_n, _SEARCH_MAX_N),
            notes=("exhaustive maximum-independent-set search",)),
     _swept("C15", "the domination number is 1",
            "gamma(G(n)) = 1", 1, _c15,
-           lambda c: min(12, c.materialize_max_n), top=lambda c: c.domination_oracle_max_n,
+           lambda c: min(12, c.materialize_max_n),
+           top=lambda c: min(c.domination_oracle_max_n, _SEARCH_MAX_N),
            notes=("universal-vertex check for n <= {last}; "
                   "exact minimum dominating set for n <= {top}",)),
     _swept("C16", "the bondage number is 1",
            "b(G(n)) = 1", 2, _c16,
-           lambda c: min(c.bondage_oracle_max_n, c.materialize_max_n),
-           skip="needs n >= 2 within the bondage oracle cap",
+           lambda c: min(c.bondage_oracle_max_n, c.materialize_max_n, _SEARCH_MAX_N),
            notes=("per-edge removal sweep with exact domination recount",)),
     _swept("C17", "the McPherson number is 2^(n-1) - 1",
            "Upsilon(G(n)) = 2^(n-1) - 1", 1, _c17,
-           lambda c: min(c.cover_oracle_max_n, c.materialize_max_n),
-           skip="nothing within the vertex-cover oracle cap",
+           lambda c: min(c.cover_oracle_max_n, c.materialize_max_n, _SEARCH_MAX_N),
            notes=("vertex cover of the disjointness graph plus explosion simulation",)),
     _swept("C18", "the tightness values sum to twice the edge count",
            "|E(G(n))| = (1/2) * sum(tightness)", 1, _c18,

@@ -31,7 +31,7 @@ GOLDEN = {
     (6, ("chromatic_oracle_max_n", 1)): "ece0b62af942f457fd3fcfb77d9f49d18f681f095074e95a911ce7c1e1cf021f",
     (6, ("mis_oracle_max_n", 1)): "153f300563ae072f05d86a7a0d31e0c63d5227a10a26cf4899a58c4316f0dff6",
     (6, ("cover_oracle_max_n", 1)): "d962c6611f30ef8b4d0311e5a407adbac7904c7361f482a15ea04f0c636544c4",
-    (6, ("bondage_oracle_max_n", 1)): "cabb05040bf439998f14dd923a0910b21396399d4921e179d532a4e1b54aa0fb",
+    (6, ("bondage_oracle_max_n", 1)): "27594e7001052ce9f3648b7ef2b4b355dce9b72d2445c96374546ab925d5a294",
     # last, so the generated ids of the entries above stay as they were
     (12, None): "91b76f1451c11b76833462fd335d09459908ea41a8799210327518656a9f400b",
 }
@@ -127,6 +127,20 @@ def _witness_repeated(fn):
     return perturbed
 
 
+def _shared_element_dropped(fn):
+    # every member of the canonical clique loses a_1, the element they share
+    return lambda *args, **kwargs: tuple(m & ~1 for m in fn(*args, **kwargs))
+
+
+def _union_short_of_a1(fn):
+    # each witness mask loses a_1, so the union misses it
+    def perturbed(*args, **kwargs):
+        size, witness = fn(*args, **kwargs)
+        return size, tuple(m & ~1 for m in witness)
+
+    return perturbed
+
+
 def _replaced_at(n0, value):
     # the value at n = n0 only, so the sweep passes every size below it
     def perturb(fn):
@@ -217,6 +231,8 @@ ROUTES = [
      {"n": 1, "expected": {"colors": 1}, "actual": {"colors": 0}}),
     ("C13", "parameters.clique_witness", _last_dropped,
      {"n": 1, "expected": {"clique order": 1}, "actual": {"witness": []}}),
+    ("C13", "parameters.clique_witness", _shared_element_dropped,
+     {"n": 1, "expected": {"clique order": 1}, "actual": {"witness": [0]}}),
     ("C13", "verify.chromatic_exact", _plus_one, {"n": 1, "expected": 1, "actual": 2}),
     ("C14", "verify.mis_exact", _plus_one, {"n": 1, "expected": 1, "actual": 2}),
     ("C14", "parameters.independence_number", _first_plus_one,
@@ -224,6 +240,13 @@ ROUTES = [
     ("C14", "parameters.independence_number", _witness_repeated,
      {"n": 1, "expected": "independent witness", "actual": [1, 1]}),
     ("C15", "verify.dominating_exact", _plus_one, {"n": 1, "expected": 1, "actual": 2}),
+    ("C15", "parameters.domination", _first_plus_one,
+     {"n": 1, "expected": {"dominating set of size": 1}, "actual": {"gamma": 2, "witness": [1]}}),
+    ("C15", "parameters.domination", _witness_repeated,
+     {"n": 1, "expected": {"dominating set of size": 1},
+      "actual": {"gamma": 1, "witness": [1, 1]}}),
+    ("C15", "parameters.domination", _union_short_of_a1,
+     {"n": 1, "expected": {"dominating set of size": 1}, "actual": {"gamma": 1, "witness": [0]}}),
     ("C16", "parameters.single_edge_bondage", _no_result,
      {"n": 2, "expected": 1, "actual": "no single edge suffices"}),
     ("C16", "parameters.bondage_number", _first_plus_one, {"n": 2, "expected": 2, "actual": 1}),
@@ -286,7 +309,7 @@ LATER_ROUTES = [
     ("C13", "parameters.chromatic_coloring", _second_members_swapped, None, (1, 2, 3),
      {"n": 3, "expected": "proper coloring", "actual": {"same color": [1, 5]}}),
     ("C15", "verify.materialize", _apex_edge_dropped, None, (1, 2),
-     {"n": 2, "expected": 2, "actual": 1}),
+     {"n": 2, "expected": 1, "actual": 2}),
     ("C20", "holes.triangle_count_corrected", _replaced_at(2, 2),
      ("triangle_exact_max_n", 0), (1, 2), {"n": 2, "expected": [0, 1], "actual": 2}),
     ("C20", "holes.triangle_count_corrected", _replaced_at(4, 0),

@@ -577,6 +577,32 @@ def test_verify_clamps_to_lowered_caps(tmp_path, caps, claim_id, note):
     assert note in by_id[claim_id]["notes"]
 
 
+@pytest.mark.parametrize(
+    "cap, value, claim_id, note",
+    [
+        ("clique_oracle_max_n", 7, "C10", "range clamped to n <= 6 (cap); n <= 7 requested"),
+        ("chromatic_oracle_max_n", 5, "C13", "exact search for n <= 4"),
+        ("mis_oracle_max_n", 6, "C14", "range clamped to n <= 5 (cap); n <= 6 requested"),
+        ("domination_oracle_max_n", 6, "C15", "exact minimum dominating set for n <= 5"),
+        ("bondage_oracle_max_n", 6, "C16", "range clamped to n <= 5 (cap); n <= 6 requested"),
+        ("cover_oracle_max_n", 6, "C17", "range clamped to n <= 5 (cap); n <= 6 requested"),
+    ],
+)
+def test_verify_clamps_raised_oracle_caps_to_the_oracle_bounds(
+    tmp_path, cap, value, claim_id, note
+):
+    # G(n) has 2^n - 1 vertices, so an oracle bound of 16 vertices admits
+    # n <= 4 and one of 31 or 63 admits n <= 5 or 6, whatever the cap says
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"caps": {cap: value}}))
+    out = tmp_path / "r.json"
+    assert run_cli("--config", str(config), "verify", "--claims", claim_id,
+                   "--max-n", str(value), "--out", str(out)) == 0
+    (verdict,) = json.loads(out.read_text())["claims"]
+    assert verdict["status"] in ("CONFIRMED", "REFUTED")
+    assert any(note in text for text in verdict["notes"])
+
+
 @pytest.mark.parametrize("max_n", [1, 3, 7])
 @pytest.mark.parametrize("cap, value", [
     ("count_max_n", 0), ("count_max_n", 1), ("count_max_n", 2), ("count_max_n", 5),

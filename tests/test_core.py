@@ -197,7 +197,7 @@ def test_materialize_rows_symmetric_irreflexive():
 def test_degrees_above_64_vertices_checks_its_o_v_conditions(rows, message):
     # 70 rows: past the full pair scan, so each O(V) condition must raise alone
     with pytest.raises(ValueError, match=message):
-        Graph(rows).degrees
+        Graph(rows)
 
 
 def test_complement_is_an_involution_equal_to_networkx():

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -157,7 +156,7 @@ def test_symmetry_checks_run_under_optimize_flag(child_env):
     # out-degree, but three of the five bits lie below the diagonal;
     # 0 -> 1 -> 2 -> 3 -> 0: a directed 4-cycle, with one bit of four below;
     # 0 -> {1}, 1 -> {0, 3}, 2 -> {0, 3}, 3 -> {0}: balanced column sums and
-    # bits above the diagonal, so only the full pair scan of Graph.degrees
+    # bits above the diagonal, so only the full pair scan of the row check
     # catches it (the O(V) conditions alone let edge_count_brute count 3);
     # G(3) without the arcs 0 -> 3 and 0 -> 4: primitive_degree read 8
     # triangles at the full set before it checked the rows
@@ -206,10 +205,13 @@ def test_primitive_degrees_rejects_rows_with_even_parities(rows):
 def test_triangle_count_rejects_rows_by_its_negative_count():
     # every in-degree equals its out-degree, but the bits above the diagonal
     # are not half of all bits, so the row check rejects these rows by itself
-    g = Graph((0b1100, 0b0001, 0b0001, 0b0010))
-    for check in (lambda g: g.degrees, triangle_count_exact, primitive_degrees):
-        with pytest.raises(ValueError):
-            check(g)
+    # when the Graph is made, with or without the full pair scan: no kernel
+    # ever reads them
+    rows = (0b1100, 0b0001, 0b0001, 0b0010)
+    with pytest.raises(ValueError, match=r"asymmetric pair \(0, 3\)"):
+        Graph(rows)
+    with pytest.raises(ValueError, match="bits above the diagonal are not half"):
+        Graph(rows + (0,) * 61)
 
 
 def test_triangle_count_rejects_rows_that_pass_check_rows():
@@ -258,13 +260,11 @@ def test_row_check_on_arbitrary_rows_up_to_64_vertices():
         for a, b in data.draw(st.lists(st.tuples(vertex, st.integers(0, v + 1)), max_size=2)):
             rows[a] ^= 1 << b
         rows = tuple(rows)
-        g = Graph(rows)
         if not _is_simple_undirected(rows):
-            for kernel in (lambda g: g.degrees, triangle_count_exact, edge_count_brute,
-                           primitive_degrees):
-                with pytest.raises(ValueError):
-                    kernel(g)
+            with pytest.raises(ValueError):
+                Graph(rows)
             return
+        g = Graph(rows)
         graph = nx.Graph()
         graph.add_nodes_from(range(v))
         graph.add_edges_from((a, b) for a in range(v) for b in range(a) if rows[a] >> b & 1)
@@ -272,55 +272,53 @@ def test_row_check_on_arbitrary_rows_up_to_64_vertices():
         assert edge_count_brute(g) == graph.number_of_edges()
         assert triangle_count_exact(g) == sum(nx.triangles(graph).values()) // 3
         assert primitive_degrees(g) == tuple(nx.triangles(graph)[u] for u in range(v))
-        # the cached degrees leave equality and hashing to the rows
+        # the degrees kept on the Graph leave equality and hashing to the rows
         assert g == Graph(rows) and hash(g) == hash(Graph(rows))
 
     check()
 
 
+def _spy_on_row_checks(monkeypatch) -> list:
+    """The rows of every Graph made from now on, as its row check sees them."""
+    checked = []
+    check = Graph.__post_init__
+
+    def counted(self):
+        checked.append(self.rows)
+        check(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    return checked
+
+
 def test_hole_report_builds_no_graph(builds, monkeypatch):
     # hole_report reads one vertex per cardinality in mask space: no G(n) is
-    # built and no row check runs
-    checked = []
-
-    def counted_check(self):
-        checked.append(self.num_vertices)
-        return check(self)
-
-    check = Graph.degrees.func
-    spy = cached_property(counted_check)
-    spy.__set_name__(Graph, "degrees")
-    monkeypatch.setattr(Graph, "degrees", spy)
+    # built and no Graph is made, so no row check runs
+    checked = _spy_on_row_checks(monkeypatch)
     for n in (5, 8, 12):
         hole_report(n)
     assert builds == [] and checked == []
 
 
 def test_one_graph_is_checked_once_across_kernels(monkeypatch):
-    # the row check behind Graph.degrees runs once per graph, whichever
-    # kernels read it; the materialize cache is emptied first, so no graph
-    # arrives checked already
+    # the rows of G(n) are checked once, when materialize makes the Graph,
+    # whichever kernels read them; the materialize cache is emptied first,
+    # so no graph arrives checked already
     core._materialize.cache_clear()
-    checked = []
-    check = Graph.degrees.func
-
-    def counted(self):
-        checked.append(self.num_vertices)
-        return check(self)
-
-    spy = cached_property(counted)
-    spy.__set_name__(Graph, "degrees")
-    monkeypatch.setattr(Graph, "degrees", spy)
+    checked = _spy_on_row_checks(monkeypatch)
     for n in (5, 8):
         checked.clear()
         g = materialize(n)
+        assert checked == [g.rows]
         triangle_count_exact(g)
         primitive_degrees(g)
-        assert checked == [(1 << n) - 1]
-        # the graph is kept with its checked degrees: a repeat checks nothing
+        made = checked[:]
+        # primitive_degrees reads the complement, a Graph of its own
+        assert made == [g.rows, g.complement().rows]
+        # the graph is kept: a repeat builds and checks nothing
+        checked.clear()
         triangle_count_exact(materialize(n))
-        primitive_degrees(materialize(n))
-        assert checked == [(1 << n) - 1]
+        assert checked == []
 
 
 def _by_size_histogram(n: int) -> Counter:

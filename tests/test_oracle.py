@@ -29,7 +29,7 @@ def test_smallgraph_constructors_validate():
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 0)])
     with pytest.raises(ValueError):
-        Graph((0b10,)).degrees
+        Graph((0b10,))
 
 
 @pytest.mark.parametrize("oracle", [
@@ -38,7 +38,8 @@ def test_smallgraph_constructors_validate():
 ])
 def test_oracles_refuse_asymmetric_rows(oracle):
     # the one-way pair 0 -> 1: without the row check, max_cliques_exact
-    # returns [(0, 1)] and dominating_exact 3
+    # returns [(0, 1)] and dominating_exact 3; the Graph refuses the rows
+    # when it is made, so no oracle reads them
     with pytest.raises(ValueError, match=r"asymmetric pair \(0, 1\)"):
         oracle(Graph((0b10, 0b00, 0b000)))
 

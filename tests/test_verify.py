@@ -190,6 +190,13 @@ def test_c13_rejects_a_witness_with_a_repeat_or_a_foreign_mask(monkeypatch, bad)
         "n": 5, "expected": {"clique order": 16}, "actual": {"witness": list(witness)}}
 
 
+def test_full_run_builds_no_graph_beyond_n_10(builds):
+    # C13 and C15 certify on masks up to n = 12 and build G(n) only for
+    # their exact searches; every other claim stops its explicit rows at 10
+    run_claims("all", 12)
+    assert builds and max(builds) <= 10
+
+
 def test_c19_bounds_its_range_before_any_work():
     # 1 << max_n alone would hold 12 MB here; the range stops at 16 vertices
     # for every max_n >= 4
