@@ -21,8 +21,13 @@ Per-vertex incidence has three routes:
   beyond the row check of every `Graph` it shares no code with the
   identity, so it stays the reference for the tests and claim C7;
 * _incidence_by_size runs the same identity at one vertex per cardinality,
-  in mask space, and builds no graph. primitive_degrees on full rows stays
-  the test that its symmetry assumption holds.
+  in mask space, and builds no graph. Its rows are half-width: they index
+  the 2^(n-1) masks of {a_2, ..., a_n}, because a_1 is free at every
+  complement neighbour it visits (each full-width mask comes twice, with
+  and without a_1) and lies in every representative. The size-1 term needs
+  no AND: that representative's row holds every non-empty reduced mask.
+  primitive_degrees on full rows stays the test that its symmetry
+  assumption holds.
 
 hole_report reads h_exact and its histogram from _incidence_by_size and
 checks them against the closed forms and the corrected recursion; `setgraph
@@ -33,6 +38,7 @@ route for claims C11 and C20, the n = 13 acceptance gate and the tests.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from math import comb
 
 from .config import DEFAULT_CAPS, CapExceeded, Caps, RouteMismatch
@@ -226,24 +232,36 @@ def _incidence_by_size(n: int) -> tuple[tuple[int, ...], list[int], int]:
     is a_(L+1) neighbours the representatives of the sizes k <= L. So one
     depth-first walk visits each w once, reads its row once and credits
     every size it neighbours.
-    The walk starts at w = {a_2, ..., a_n}, whose free set is {a_1}, and
-    each child drops from w one element above the last one dropped, which
-    joins the free set: the child's row is one shift-or of its parent's.
-    The representative of size k has the free set {a_(k+1), ..., a_n}, so
-    its row is the row of size k + 1 with a_(k+1) joined: a chain of n - 1
-    shift-ors from the apex row, 1, builds all n of them. Walk rows keep the
-    empty mask (bit 0), which the representative rows drop, so the ANDs are
-    unaffected and d(w) = V - popcount(row). The stack holds O(n^2) rows,
-    and the walk does about 2^n ANDs in all.
+
+    Rows are half-width: they index the 2^(n-1) masks of the reduced
+    lattice {a_2, ..., a_n} (bit j stands for a_(j+2)). a_1 lies in no w, so
+    it is free at every w, and w's full-width row is its reduced row with
+    each mask taken with and without a_1: d(w) = V - 2 * popcount(row), the
+    row keeping the empty mask. Every representative holds a_1, so its
+    full-width row is its reduced row, and an AND of two reduced rows counts
+    the masks that the AND of the full-width rows counts.
+    The walk starts at w = {a_2, ..., a_n}, whose reduced free set is empty
+    (row 1), and each child drops from w one element above the last one
+    dropped, which joins the free set: the child's row is one shift-or of
+    its parent's. The representative of size k has the free set
+    {a_(k+1), ..., a_n}, so its row is the row of size k + 1 with a_(k+1)
+    joined: a chain of n - 1 shift-ors from the apex row, 1, builds all n
+    of them, and dropping the empty mask gives the representative rows.
+    The row of size 1 holds every non-empty reduced mask, so its AND with a
+    walk row is that row less the empty mask: the size-1 term is the
+    popcount already taken, minus 1, an identity of rows. The summed
+    neighbour degree of each size is credited once per w, under w's lowest
+    element, and summed over the sizes it neighbours at the end. The stack
+    holds O(n^2) rows, and the walk does about 2^(n-1) ANDs in all.
 
     |E| is half of sum_k C(n,k) * d_k. Degrees are read from the popcounts
     of the rows, not from a closed form. An odd doubled edge count or
     complement incidence, or a negative incidence, raises ValueError.
     """
-    full = (1 << n) - 1
-    v = full  # 2^n - 1 vertices
+    v = (1 << n) - 1  # 2^n - 1 vertices
+    top = n - 1  # reduced elements 0..top-1 are a_2..a_n
     chain = [1]  # sizes n, n - 1, ..., 1
-    for b in range(n - 1, 0, -1):
+    for b in range(top - 1, -1, -1):
         chain.append(_with_element(chain[-1], b))
     rep_rows = [row ^ 1 for row in reversed(chain)]
     degrees = [v - 1 - row.bit_count() for row in rep_rows]
@@ -251,20 +269,27 @@ def _incidence_by_size(n: int) -> tuple[tuple[int, ...], list[int], int]:
     if twice_edges % 2:
         raise ValueError("odd doubled edge count")
     edges = twice_edges // 2
-    far = [0] * n
+    far_by_lowest = [0] * n
     shared = [0] * n
-    # (row of w, w, the elements of w above the last one dropped)
-    stack = [(0b11, full ^ 1, full ^ 1)]
+    # (row of w, the lowest element of w, the first element a child may
+    # drop); every element from the first one up is still in w, so a child
+    # keeps w's lowest element unless it drops it, which only the first
+    # child of a w whose lowest element is that first one can do
+    stack = [(1, 0, 0)] if top else []
     while stack:
-        row, w, rest = stack.pop()
-        d = v - row.bit_count()
-        for i in range((w & -w).bit_length() - 1):
-            far[i] += d
+        row, lowest, first = stack.pop()
+        ones = row.bit_count()
+        far_by_lowest[lowest] += v - 2 * ones
+        shared[0] += ones - 1
+        for i in range(1, lowest + 1):
             shared[i] += (rep_rows[i] & row).bit_count()
-        for b in _bit_positions(rest):
-            rest ^= 1 << b
-            if w != 1 << b:
-                stack.append((_with_element(row, b), w ^ 1 << b, rest))
+        if lowest == first:
+            if first + 1 < top:  # else w is {a_n}, which no child may empty
+                stack.append((_with_element(row, first), first + 1, first + 1))
+            first += 1
+        for b in range(first, top):
+            stack.append((_with_element(row, b), lowest, b + 1))
+    far = list(accumulate(reversed(far_by_lowest)))[::-1]
     return _incidences(v, edges, degrees, far, shared), degrees, edges
 
 

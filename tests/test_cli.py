@@ -349,13 +349,13 @@ def test_route_mismatch_exits_4_with_one_line(monkeypatch, capsys):
     )
 
 
-def _invariants_3_with_a_skewed_walk_row(child_env, extra_mask):
-    # the walk's step to the row of {a3} in G(3) gains the mask extra_mask
+def _invariants_3_with_a_skewed_walk_row(child_env, extra):
+    # the walk's step to the row of {a3} in G(3) also sets the bits of extra
     code = f"""
 import sys
 from setgraphs import cli, holes
 real = holes._with_element
-holes._with_element = lambda row, b: real(row, b) | (1 << {extra_mask} if (row, b) == (3, 1) else 0)
+holes._with_element = lambda row, b: real(row, b) | ({extra} if (row, b) == (1, 0) else 0)
 sys.exit(cli.main(["invariants", "3"]))
 """
     proc = subprocess.run(
@@ -368,8 +368,8 @@ sys.exit(cli.main(["invariants", "3"]))
 
 def test_route_mismatch_exits_4_in_a_child(child_env):
     # the skewed walk row of test_hole_report_rejects_a_skewed_row_that_passes_every_guard
-    assert _invariants_3_with_a_skewed_walk_row(child_env, 0b101) == (
-        "setgraph: routes disagree: n=3: the per-size incidences give h_exact = 15, "
+    assert _invariants_3_with_a_skewed_walk_row(child_env, 1 << 0b11 | 1 << 4) == (
+        "setgraph: routes disagree: n=3: the per-size incidences give h_exact = 20, "
         "the corrected recursion gives 13\n"
     )
 
@@ -377,7 +377,7 @@ def test_route_mismatch_exits_4_in_a_child(child_env):
 def test_a_failed_walk_guard_exits_4_in_a_child(child_env):
     # the walk reads no input, so its failed guard is a fault in the program,
     # not the usage error's exit 2
-    assert _invariants_3_with_a_skewed_walk_row(child_env, 0b110) == (
+    assert _invariants_3_with_a_skewed_walk_row(child_env, 1 << 0b10) == (
         "setgraph: routes disagree: n=3: rows are not symmetric: "
         "odd doubled complement incidence\n"
     )

@@ -412,6 +412,24 @@ def test_incidence_by_size_keeps_few_rows():
     assert peak < 1 << 19
 
 
+def test_incidence_by_size_steps_only_half_width_rows(monkeypatch):
+    # rows live on the 2^(n-1) masks of {a_2, ..., a_n}: a row step that
+    # reads or gives a wider row means full-width rows came back
+    widths = []
+    real = holes._with_element
+
+    def measured(row, b):
+        out = real(row, b)
+        widths.append(max(row.bit_length(), out.bit_length()))
+        return out
+
+    monkeypatch.setattr(holes, "_with_element", measured)
+    for n in (2, 5, 8, 12):
+        widths.clear()
+        _incidence_by_size(n)
+        assert widths and max(widths) <= 1 << (n - 1)
+
+
 def test_claimed_recursion_pinned():
     for n, h in CLAIMED.items():
         assert triangle_count_claimed(n) == h
@@ -567,66 +585,66 @@ def test_hole_report_rejects_incidences_that_are_not_three_h(monkeypatch):
         hole_report(3)
 
 
+def _skew_row_step(monkeypatch, skewed_args, extra):
+    """Make the row step called with skewed_args also set the bits of extra.
+
+    In G(3) the reduced lattice is the masks 0..3 of {a2, a3} (bit 0 is a2,
+    bit 1 is a3). The chain steps (1, 1) and (0b101, 0) give the rows of
+    sizes 2 and 1; the walk steps (1, 0) and (1, 1) give the rows of {a3}
+    and {a2}, the second equal to the chain's first.
+    """
+    real = holes._with_element
+    monkeypatch.setattr(
+        holes,
+        "_with_element",
+        lambda row, b: real(row, b) | (extra if (row, b) == skewed_args else 0),
+    )
+
+
 @pytest.mark.parametrize(
-    "name, skewed_args, extra_mask, message",
+    "skewed_args, extra, message",
     [
-        # the walk's step to the row of {a3} in G(3) (free set {a1, a2})
-        # gains {a2, a3}, which also lies in the row of {a1}: the doubled
-        # complement incidence of {a1} turns odd
-        ("_with_element", (0b11, 1), 0b110, "odd doubled complement incidence"),
-        # the chain's row of size 2 gains {a1}, and its step to the row of
-        # size 1 adds {a1} and {a1, a2}: the three pairs lose one degree
-        # each and the three singletons two, an odd change of the sum
-        ("_with_element", (1, 2), 0b001, "odd doubled edge count"),
+        # the walk's row of {a3} (free set {a2}) gains {a3}: the size-1
+        # term, its popcount less 1, rises by one and turns odd
+        ((1, 0), 1 << 0b10, "odd doubled complement incidence"),
+        # the chain's row of size 1 gains mask 4, outside the lattice: the
+        # three singletons lose one degree each, an odd change of the sum
+        ((0b101, 0), 1 << 4, "odd doubled edge count"),
     ],
     ids=["complement-incidence", "edge-count"],
 )
 def test_incidence_by_size_rejects_odd_doubled_sums(
-    monkeypatch, name, skewed_args, extra_mask, message
+    monkeypatch, skewed_args, extra, message
 ):
-    real = getattr(holes, name)
-
-    def skewed(*args):
-        row = real(*args)
-        return row | 1 << extra_mask if args == skewed_args else row
-
-    monkeypatch.setattr(holes, name, skewed)
+    _skew_row_step(monkeypatch, skewed_args, extra)
     # the walk reads no input, so hole_report reports its failed guard as a fault
     with pytest.raises(RouteMismatch, match=message):
         hole_report(3)
 
 
 def test_hole_report_rejects_a_skewed_degree(monkeypatch):
-    # the chain's row of size 2 gains {a2, a3}, and its step to the row of
-    # size 1 adds that mask (already there) and mask 8, which is no vertex:
-    # d_2 and d_1 fall by one each, an even change of the doubled edge count
-    real = holes._with_element
-
-    def skewed(row, b):
-        return real(row, b) | (1 << 0b110 if (row, b) == (1, 2) else 0)
-
-    monkeypatch.setattr(holes, "_with_element", skewed)
+    # the chain's row of size 1 gains masks 4 and 5, outside the lattice:
+    # the three singletons lose two degrees each, an even change of the
+    # doubled edge count; the walk ANDs no row with that one, so only d_1
+    # moves
+    _skew_row_step(monkeypatch, (0b101, 0), 1 << 4 | 1 << 5)
     with pytest.raises(
         RouteMismatch,
-        match=r"n=3: the per-size walk gives the degrees \[2, 4, 6\] and \|E\| = 12, "
+        match=r"n=3: the per-size walk gives the degrees \[1, 5, 6\] and \|E\| = 12, "
         r"degree_closed and edge_count_closed give \[3, 5, 6\] and 15",
     ):
         hole_report(3)
 
 
 def test_hole_report_rejects_a_skewed_row_that_passes_every_guard(monkeypatch):
-    # the walk's row of {a3} in G(3) gains {a1, a3}, which lies in no
-    # representative's row: every doubled sum stays even and every incidence
-    # non-negative, but d({a3}) falls by one, t_1 and t_2 rise by one each
-    # and h_exact comes out 15, not 13
-    real = holes._with_element
-
-    def skewed(row, b):
-        return real(row, b) | (1 << 0b101 if (row, b) == (0b11, 1) else 0)
-
-    monkeypatch.setattr(holes, "_with_element", skewed)
+    # the walk's row of {a3} gains {a2, a3} and mask 4, outside the lattice;
+    # neither lies in the row of size 2, the only representative row the
+    # walk ANDs at n = 3, so every doubled sum stays even and every
+    # incidence non-negative, but d({a3}) falls by 4, t_1 and t_2 rise by 3
+    # and 4, and h_exact comes out 20, not 13
+    _skew_row_step(monkeypatch, (1, 0), 1 << 0b11 | 1 << 4)
     with pytest.raises(
-        RouteMismatch, match=r"n=3: .* h_exact = 15, the corrected recursion gives 13"
+        RouteMismatch, match=r"n=3: .* h_exact = 20, the corrected recursion gives 13"
     ):
         hole_report(3)
 
@@ -654,11 +672,11 @@ def test_hole_report_compares_only_the_routes_it_computes():
 
 
 def test_incidence_by_size_rejects_a_negative_incidence(monkeypatch):
-    # every walk row of G(3) loses its odd masks, which lie in no
-    # representative's row: the doubled sums stay even, but the degrees of
-    # {a2} and {a3} rise by 2 each, and t_1 falls from 3 to -1
-    real = holes._with_element
-    monkeypatch.setattr(holes, "_with_element", lambda row, b: real(row, b) & 0b1010101)
+    # every row step of G(3) comes back empty: the chain's rows of sizes 1
+    # and 2 lack the empty mask, so dropping it (one XOR of bit 0) sets it
+    # instead, and d_1 = d_2 = 5, an even doubled edge count; the walk rows
+    # of {a2} and {a3} read degree 7, and t_1 falls from 3 to -5
+    monkeypatch.setattr(holes, "_with_element", lambda row, b: 0)
     with pytest.raises(ValueError, match="negative triangle incidence"):
         _incidence_by_size(3)
 
@@ -673,19 +691,17 @@ from setgraphs import RouteMismatch, holes, hole_report
 text = json.dumps(hole_report(12).as_dict()) + "\\n"
 print(hashlib.sha256(text.encode()).hexdigest())
 with_element = holes._with_element
+def skew(skewed_args, extra):
+    return lambda row, b: with_element(row, b) | (extra if (row, b) == skewed_args else 0)
 skews = [
-    (RouteMismatch, "odd doubled complement incidence", "_with_element",
-     lambda row, b: with_element(row, b) | (1 << 6 if (row, b) == (3, 1) else 0)),
-    (RouteMismatch, "odd doubled edge count", "_with_element",
-     lambda row, b: with_element(row, b) | ((row, b) == (1, 2)) << 1),
-    (RouteMismatch, "negative triangle incidence", "_with_element",
-     lambda row, b: with_element(row, b) & 0b1010101),
+    (RouteMismatch, "odd doubled complement incidence", "_with_element", skew((1, 0), 4)),
+    (RouteMismatch, "odd doubled edge count", "_with_element", skew((5, 0), 16)),
+    (RouteMismatch, "negative triangle incidence", "_with_element", lambda row, b: 0),
     (RouteMismatch, "multiple of 3", "_incidence_by_size",
      lambda n: ((3, 7, 10), [3, 5, 6], 15)),
-    (RouteMismatch, "degrees [2, 4, 6]", "_with_element",
-     lambda row, b: with_element(row, b) | (1 << 6 if (row, b) == (1, 2) else 0)),
-    (RouteMismatch, "h_exact = 15, the corrected recursion gives 13", "_with_element",
-     lambda row, b: with_element(row, b) | (1 << 5 if (row, b) == (3, 1) else 0)),
+    (RouteMismatch, "degrees [1, 5, 6]", "_with_element", skew((5, 0), 48)),
+    (RouteMismatch, "h_exact = 20, the corrected recursion gives 13", "_with_element",
+     skew((1, 0), 24)),
 ]
 for error, message, name, skewed in skews:
     real = getattr(holes, name)
