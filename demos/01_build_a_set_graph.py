@@ -33,5 +33,6 @@ print(f"\nMaterialized: {len(edges)} edges")
 for u, v in edges:
     print(f"  {subset_str(u)} -- {subset_str(v)}")
 
-print("\nDOT output (feed to graphviz):\n")
-render_dot(N, sys.stdout)
+# render_dot writes bytes: flush the text printed so far, then hand it the byte stream
+print("\nDOT output (feed to graphviz):\n", flush=True)
+render_dot(N, sys.stdout.buffer)

@@ -25,7 +25,7 @@ import sys
 from contextlib import contextmanager
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import BinaryIO, Iterator, TextIO
 
 from . import holes, invariants, parameters, verify
 from .mela import check_closure, check_divisibility, mela as mela_sequence
@@ -55,16 +55,15 @@ def _node_id(n: int, m: int) -> str:
     return f"v_{s}_{i}"
 
 
-def _write_edges(fh: TextIO, n: int, names: list[str], edge: str, between: str = "") -> None:
+def _write_edges(fh: BinaryIO, n: int, names: list[str], edge: str, between: str = "") -> None:
     """Write every edge (u, v), u < v ascending, as edge.format(u=names[u], v=names[v]).
 
     Consecutive edges are separated by `between`. One chunk is written per
     u: the names of the masks meeting u above it, sliced from `names` by the
-    runs of `_meeting_runs` and joined, so no per-edge formatting happens.
-    It serves DOT and JSON; CSV has its own writer, `render_csv`, whose
-    short lines make the list entry and join per edge here the larger part
-    of the cost. On DOT's and JSON's longer lines `render_csv`'s byte-wise
-    digit pass costs more than it saves.
+    runs of `_meeting_runs`, joined and encoded once, so no per-edge
+    formatting happens. It serves DOT and JSON; CSV has its own writer,
+    `render_csv`, whose short lines make the list entry and join per edge
+    here the larger part of the cost.
     """
     head, tail = edge.split("{v}")
     lead = ""
@@ -74,66 +73,114 @@ def _write_edges(fh: TextIO, n: int, names: list[str], edge: str, between: str =
             vs += names[lo:hi]
         if vs:
             h = head.format(u=names[u])
-            fh.write(lead + h + (tail + between + h).join(vs) + tail)
+            fh.write((lead + h + (tail + between + h).join(vs) + tail).encode())
             lead = between
 
 
-def render_dot(n: int, fh: TextIO, *, caps: Caps = DEFAULT_CAPS) -> None:
-    """Write G(n) to fh as a graphviz DOT graph: labelled vertices, then edges."""
+def render_dot(n: int, fh: BinaryIO, *, caps: Caps = DEFAULT_CAPS) -> None:
+    """Write G(n) to the byte stream fh as a graphviz DOT graph: labelled vertices, then edges."""
     check_ground_size(n, caps.materialize_max_n)
     ids = [""] + [_node_id(n, m) for m in range(1, 1 << n)]  # indexed by mask
-    fh.write(f"graph setgraph_{n} {{\n")
-    fh.write("".join(f'  {ids[m]} [label="{subset_str(m)}"];\n' for m in canonical_masks(n)))
+    fh.write(b"graph setgraph_%d {\n" % n)
+    vertices = "".join(f'  {ids[m]} [label="{subset_str(m)}"];\n' for m in canonical_masks(n))
+    fh.write(vertices.encode())
     _write_edges(fh, n, ids, "  {u} -- {v};\n")
-    fh.write("}\n")
+    fh.write(b"}\n")
 
 
-# the 244 bytes no CSV line holds, one per digit of u: they run out only for
-# a u of 245 digits, in a graph of more than 2^810 vertices
-_STAND_INS = bytes(sorted(set(range(256)).difference(b"0123456789,\n")))
+def _decades(top: int) -> Iterator[tuple[int, int]]:
+    """(first, count) of each run of v in [0, top) whose numbers have one digit count."""
+    first, end = 0, 10
+    while first < top:
+        yield first, min(end, top) - first
+        first, end = end, end * 10
 
 
-def render_csv(n: int, fh: TextIO, *, caps: Caps = DEFAULT_CAPS) -> None:
-    """Write the edges of G(n) to fh as 'u,v' mask rows, u < v, sorted.
+def render_csv(n: int, fh: BinaryIO, *, caps: Caps = DEFAULT_CAPS) -> None:
+    """Write the edges of G(n) to the byte stream fh as 'u,v' mask rows, u < v, sorted.
 
-    The lines of u are slices of one text holding every v's line
-    '<stand-ins>,v\\n' in mask order, with one stand-in byte per digit of u:
-    one slice per run of `_meeting_runs`, so there is no Python object per
-    edge. The slices are joined and one `bytes.translate` writes u's digits
-    over the stand-ins. The text is rebuilt whenever the width of u grows.
+    The lines of u are slices of one text holding u's line 'u,v\\n' for
+    every v in mask order: one slice per run of `_meeting_runs`, joined, so
+    there is no Python object per edge. The text is rebuilt whenever the
+    width of u grows. Between rebuilds only the digit columns of u that
+    changed are rewritten: in each decade of v every line has one length,
+    so a column is one strided slice assignment per decade.
     """
     check_ground_size(n, caps.materialize_max_n)
-    tails = [b",%d\n" % v for v in range(1 << n)]
+    top = 1 << n
+    tails = [b",%d\n" % v for v in range(top)]
     before = [0, *accumulate(map(len, tails))]  # the length of the tails before v's
     width = 0
-    for u in range(1, 1 << n):
+    for u in range(1, top):
         digits = b"%d" % u
         if len(digits) != width:
             width = len(digits)
-            stand_ins = _STAND_INS[:width]
-            text = stand_ins + stand_ins.join(tails)
+            text = bytearray(digits + digits.join(tails))
             starts = [v * width + length for v, length in enumerate(before)]
+            # (start, stop, line length, digit -> its column fill) per decade of v
+            blocks = [
+                (starts[first], starts[first + count], width + len(tails[first]),
+                 {d: bytes([d]) * count for d in b"0123456789"})
+                for first, count in _decades(top)
+            ]
+        else:
+            for column in range(width):
+                d = digits[column]
+                if d != previous[column]:
+                    for start, stop, step, fills in blocks:
+                        text[start + column:stop:step] = fills[d]
+        previous = digits
         chunk = b"".join([text[starts[lo]:starts[hi]] for lo, hi in _meeting_runs(n, u)])
         if chunk:
-            fh.write(chunk.translate(bytes.maketrans(stand_ins, digits)).decode())
+            fh.write(chunk)
 
 
-def render_graph_json(n: int, fh: TextIO, *, caps: Caps = DEFAULT_CAPS) -> None:
-    """Write G(n) to fh as the json.dumps(doc, indent=2) text of its vertices and edges."""
+def render_graph_json(n: int, fh: BinaryIO, *, caps: Caps = DEFAULT_CAPS) -> None:
+    """Write G(n) to the byte stream fh as the json.dumps(doc, indent=2) text of G(n)."""
     check_ground_size(n, caps.materialize_max_n)
     vertices = ",\n".join(
         f'    {{\n      "label": "{_node_id(n, m)}",\n      "mask": {m}\n    }}'
         for m in canonical_masks(n)
     )
-    fh.write(f'{{\n  "n": {n},\n  "vertices": [\n{vertices}\n  ],\n  "edges": ')
+    fh.write(f'{{\n  "n": {n},\n  "vertices": [\n{vertices}\n  ],\n  "edges": '.encode())
     if n == 1:
-        fh.write("[]")  # the only vertex has no edge
+        fh.write(b"[]")  # the only vertex has no edge
     else:
-        fh.write("[\n")
+        fh.write(b"[\n")
         names = [str(m) for m in range(1 << n)]
         _write_edges(fh, n, names, "    [\n      {u},\n      {v}\n    ]", ",\n")
-        fh.write("\n  ]")
-    fh.write("\n}\n")
+        fh.write(b"\n  ]")
+    fh.write(b"\n}\n")
+
+
+# the most bytes `build` may write; it admits every format at n <= 14
+BUILD_MAX_BYTES = 1 << 33
+
+
+def build_size_bound(n: int, fmt: str, *, caps: Caps = DEFAULT_CAPS) -> int:
+    """An upper bound on the bytes of `build n --format fmt`, from closed forms alone.
+
+    Each kind of line is counted |E| or |V| times at its widest: a mask is at
+    most as wide as the largest, 2^n - 1, a label v_s_i at most as wide as
+    v_n_(2^n - 1) (i <= C(n, s) <= 2^n - 1) and a subset at most as wide as
+    the whole ground set.
+    """
+    edges = invariants.edge_count_closed(n, caps=caps)
+    vertices = vertex_count(n, caps=caps)  # 2^n - 1, also the largest mask
+    mask = str(vertices)
+    label = f"v_{n}_{mask}"
+    if fmt == "csv":
+        return edges * len(f"{mask},{mask}\n")
+    if fmt == "dot":
+        return (len(f"graph setgraph_{n} {{\n}}\n")
+                + vertices * len(f'  {label} [label="{subset_str(vertices)}"];\n')
+                + edges * len(f"  {label} -- {label};\n"))
+    if fmt == "json":
+        vertex = f'    {{\n      "label": "{label}",\n      "mask": {mask}\n    }},\n'
+        return (len(f'{{\n  "n": {n},\n  "vertices": [\n\n  ],\n  "edges": [\n\n  ]\n}}\n')
+                + vertices * len(vertex)
+                + edges * len(f"    [\n      {mask},\n      {mask}\n    ],\n"))
+    raise ValueError(f"unknown build format {fmt!r}")
 
 
 def _witness(masks) -> dict:
@@ -241,12 +288,20 @@ def sequence_rows(metric: str, max_n: int, *, caps: Caps = DEFAULT_CAPS) -> list
 
 
 @contextmanager
-def _output(out: str | None) -> Iterator[TextIO]:
-    """stdout for None or '-', else the file at out, opened for writing."""
+def _output(out: str | None, mode: str = "w") -> Iterator[TextIO | BinaryIO]:
+    """stdout for None or '-', else the file at out, opened with mode ('w' or 'wb').
+
+    Mode 'wb' gets stdout's byte buffer. Stdout is flushed before the block,
+    so text written earlier comes first, and before it ends, so a closed
+    pipe raises inside it.
+    """
     if out is None or out == "-":
-        yield sys.stdout
+        sys.stdout.flush()
+        fh = sys.stdout.buffer if mode == "wb" else sys.stdout
+        yield fh
+        fh.flush()
     else:
-        with open(out, "w") as fh:
+        with open(out, mode) as fh:
             yield fh
 
 
@@ -338,7 +393,13 @@ def main(argv=None) -> int:
                 raise ValueError(f"unknown build format {fmt!r}")
             # refuse before --out is opened, so a refused build leaves no file
             check_ground_size(args.n, caps.materialize_max_n)
-            with _output(out) as fh:
+            bound = build_size_bound(args.n, fmt, caps=caps)
+            if bound > BUILD_MAX_BYTES:
+                raise CapExceeded(
+                    f"build {args.n} --format {fmt} may write up to {bound} bytes, "
+                    f"over the limit of {BUILD_MAX_BYTES}"
+                )
+            with _output(out, "wb") as fh:
                 exporters[fmt](args.n, fh, caps=caps)
         elif args.command == "invariants":
             _int_setting(args, config, "threads", 1, minimum=1)  # validated, then ignored

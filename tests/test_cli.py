@@ -144,15 +144,87 @@ def test_build_output_is_pinned(fmt, n, capsys):
 def test_csv_writer_matches_the_shared_edge_writer():
     # render_csv has its own writer; _write_edges, which DOT and JSON still
     # use, is the reference. n = 10 and 11 cross the widths of u at 10, 100
-    # and 1000, where render_csv rebuilds its text of stand-ins
+    # and 1000, where render_csv rebuilds its text, and every carry in
+    # between, where it rewrites more than u's last digit column
     for n in range(1, 12):
-        fast, reference = io.StringIO(), io.StringIO()
+        fast, reference = io.BytesIO(), io.BytesIO()
         cli.render_csv(n, fast)
         cli._write_edges(reference, n, [str(m) for m in range(1 << n)], "{u},{v}\n")
-        text = fast.getvalue()
-        assert text == reference.getvalue()
-        # no stand-in byte is left over: only digits, commas and newlines
-        assert text.encode().translate(None, b"0123456789,\n") == b""
+        assert fast.getvalue() == reference.getvalue()
+
+
+class _Sha256Sink:
+    """A binary stream that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, data):
+        self.hash.update(data)
+        return len(data)
+
+
+def test_build_13_csv_is_pinned():
+    # 319 MB, hashed as it streams so that no file is written
+    sink = _Sha256Sink()
+    cli.render_csv(13, sink)
+    assert sink.hash.hexdigest() == (
+        "37556e7dc667621c44259f439908a96d98c443b433b085f0eb52bcf6928a117b"
+    )
+
+
+def test_build_size_bound_covers_every_output():
+    for n in range(1, 10):
+        for fmt, render in (("csv", cli.render_csv), ("dot", cli.render_dot),
+                            ("json", cli.render_graph_json)):
+            fh = io.BytesIO()
+            render(n, fh)
+            assert cli.build_size_bound(n, fmt) >= len(fh.getvalue()), (fmt, n)
+    # perfbench pins 76,980,011 bytes for build 12 --format csv
+    assert cli.build_size_bound(12, "csv") >= 76_980_011
+    # every format is admitted at n <= 14, the default materialize cap
+    for fmt in ("csv", "dot", "json"):
+        assert cli.build_size_bound(14, fmt) <= cli.BUILD_MAX_BYTES
+    with pytest.raises(ValueError, match="unknown build format"):
+        cli.build_size_bound(3, "xml")
+
+
+@pytest.mark.parametrize("n, fmt", [(16, "csv"), (15, "json")])
+def test_build_over_the_size_limit_exits_3_and_leaves_no_file(
+    n, fmt, tmp_path, capsys, monkeypatch
+):
+    # should the bound not refuse, the exporter fails at once instead of
+    # writing gigabytes
+    def exporter_reached(*args, **kwargs):
+        raise AssertionError("the exporter ran")
+
+    for name in ("render_csv", "render_dot", "render_graph_json"):
+        monkeypatch.setattr(cli, name, exporter_reached)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"caps": {"materialize_max_n": n}}))
+    out = tmp_path / "g.out"
+    assert run_cli("--config", str(config), "build", str(n), "--format", fmt,
+                   "--out", str(out)) == 3
+    assert not out.exists()
+    bound = cli.build_size_bound(n, fmt, caps=DEFAULT_CAPS.with_overrides(materialize_max_n=n))
+    assert capsys.readouterr() == ("", (
+        f"setgraph: resource guard: build {n} --format {fmt} may write up to {bound} "
+        f"bytes, over the limit of {cli.BUILD_MAX_BYTES}\n"
+    ))
+
+
+def test_closed_pipe_exits_1_with_one_line(child_env):
+    # the reader stops after the first line of a 77 MB export: the write to
+    # the closed pipe fails inside main, which names it on one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "setgraphs", "build", "12", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env,
+    )
+    assert proc.stdout.readline() == b"1,3\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b"setgraph: [Errno 32] Broken pipe\n"
 
 
 def test_edge_stream_matches_pair_scan():
@@ -693,7 +765,9 @@ def test_any_config_value_runs_or_exits_with_one_line():
             with open(path, "w") as fh:
                 json.dump(config, fh)
             err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            # build writes to stdout's byte buffer, which a StringIO lacks
+            stdout = io.TextIOWrapper(io.BytesIO())
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
                 code = run_cli("--config", path, *command)
             if code:
                 assert code in (2, 3), (code, err.getvalue())
