@@ -38,7 +38,7 @@ from .config import (
     check_int,
 )
 from .core import (
-    _meeting_runs,
+    _meeting_slices,
     canonical_masks,
     check_ground_size,
     label_of_mask,
@@ -59,18 +59,20 @@ def _write_edges(fh: BinaryIO, n: int, names: list[str], edge: str, between: str
     """Write every edge (u, v), u < v ascending, as edge.format(u=names[u], v=names[v]).
 
     Consecutive edges are separated by `between`. One chunk is written per
-    u: the names of the masks meeting u above it, sliced from `names` by the
-    runs of `_meeting_runs`, joined and encoded once, so no per-edge
-    formatting happens. It serves DOT and JSON; CSV has its own writer,
-    `render_csv`, whose short lines make the list entry and join per edge
-    here the larger part of the cost.
+    u: the names of the masks meeting u above it, which `_meeting_slices`
+    cuts from `names` with each mask as its own position, joined and
+    encoded once, so no per-edge formatting happens. It serves DOT and
+    JSON, whose chunks are long enough to write one by one; CSV has its own
+    writer, `render_csv`, whose short lines make the list entry and join
+    per edge here the larger part of the cost.
     """
     head, tail = edge.split("{v}")
+    positions = list(range(len(names) + 1))
     lead = ""
     for u in range(1, 1 << n):
         vs = []
-        for lo, hi in _meeting_runs(n, u):
-            vs += names[lo:hi]
+        for part in _meeting_slices(n, u, names, positions):
+            vs += part
         if vs:
             h = head.format(u=names[u])
             fh.write((lead + h + (tail + between + h).join(vs) + tail).encode())
@@ -96,30 +98,41 @@ def _decades(top: int) -> Iterator[tuple[int, int]]:
         first, end = end, end * 10
 
 
+# the bytes render_csv gathers into one write; 1 MiB blocks were no faster
+# and took more memory
+_WRITE_BLOCK = 1 << 18
+
+
 def render_csv(n: int, fh: BinaryIO, *, caps: Caps = DEFAULT_CAPS) -> None:
     """Write the edges of G(n) to the byte stream fh as 'u,v' mask rows, u < v, sorted.
 
     The lines of u are slices of one text holding u's line 'u,v\\n' for
-    every v in mask order: one slice per run of `_meeting_runs`, joined, so
-    there is no Python object per edge. The text is rebuilt whenever the
-    width of u grows. Between rebuilds only the digit columns of u that
-    changed are rewritten: in each decade of v every line has one length,
-    so a column is one strided slice assignment per decade.
+    every v in mask order: `_meeting_slices` cuts them from a memoryview of
+    the text at the lines' byte offsets and one join copies them, so there
+    is no Python object per edge. The text is rebuilt whenever the width of
+    u grows. Between rebuilds only the digit columns of u that changed are
+    rewritten, and only on the lines above u, the only ones read from then
+    on: in each decade of v every line has one length, so a column is one
+    strided slice assignment per decade. The lines of consecutive u are
+    gathered and written in blocks of at least `_WRITE_BLOCK` bytes (but
+    the last), far fewer writes than one per u.
     """
     check_ground_size(n, caps.materialize_max_n)
     top = 1 << n
     tails = [b",%d\n" % v for v in range(top)]
     before = [0, *accumulate(map(len, tails))]  # the length of the tails before v's
     width = 0
+    pending, size = [], 0
     for u in range(1, top):
         digits = b"%d" % u
         if len(digits) != width:
             width = len(digits)
             text = bytearray(digits + digits.join(tails))
+            view = memoryview(text)
             starts = [v * width + length for v, length in enumerate(before)]
-            # (start, stop, line length, digit -> its column fill) per decade of v
-            blocks = [
-                (starts[first], starts[first + count], width + len(tails[first]),
+            # (first, end, line length, digit -> its column fill) per decade of v
+            decades = [
+                (first, first + count, width + len(tails[first]),
                  {d: bytes([d]) * count for d in b"0123456789"})
                 for first, count in _decades(top)
             ]
@@ -127,12 +140,21 @@ def render_csv(n: int, fh: BinaryIO, *, caps: Caps = DEFAULT_CAPS) -> None:
             for column in range(width):
                 d = digits[column]
                 if d != previous[column]:
-                    for start, stop, step, fills in blocks:
-                        text[start + column:stop:step] = fills[d]
+                    for first, end, step, fills in decades:
+                        lo = max(first, u + 1)
+                        # skipping the empty case also keeps the view legal:
+                        # a strided assignment of no bytes is a resize
+                        if lo < end:
+                            text[starts[lo] + column:starts[end]:step] = fills[d][lo - first:]
         previous = digits
-        chunk = b"".join([text[starts[lo]:starts[hi]] for lo, hi in _meeting_runs(n, u)])
-        if chunk:
-            fh.write(chunk)
+        chunk = b"".join(_meeting_slices(n, u, view, starts))
+        pending.append(chunk)
+        size += len(chunk)
+        if size >= _WRITE_BLOCK:
+            fh.write(b"".join(pending))
+            pending, size = [], 0
+    if size:
+        fh.write(b"".join(pending))
 
 
 def render_graph_json(n: int, fh: BinaryIO, *, caps: Caps = DEFAULT_CAPS) -> None:
@@ -287,17 +309,33 @@ def sequence_rows(metric: str, max_n: int, *, caps: Caps = DEFAULT_CAPS) -> list
     return rows
 
 
+class _AsciiWriter:
+    """A byte stream over a text stream: each write decodes its ASCII bytes into the text."""
+
+    def __init__(self, text: TextIO):
+        self._text = text
+
+    def write(self, data: bytes) -> int:
+        return self._text.write(data.decode("ascii"))
+
+    def flush(self) -> None:
+        self._text.flush()
+
+
 @contextmanager
 def _output(out: str | None, mode: str = "w") -> Iterator[TextIO | BinaryIO]:
     """stdout for None or '-', else the file at out, opened with mode ('w' or 'wb').
 
-    Mode 'wb' gets stdout's byte buffer. Stdout is flushed before the block,
-    so text written earlier comes first, and before it ends, so a closed
-    pipe raises inside it.
+    Mode 'wb' gets stdout's byte buffer, or an `_AsciiWriter` over stdout
+    when it has none (an io.StringIO, say). Stdout is flushed before the
+    block, so text written earlier comes first, and before it ends, so a
+    closed pipe raises inside it.
     """
     if out is None or out == "-":
         sys.stdout.flush()
-        fh = sys.stdout.buffer if mode == "wb" else sys.stdout
+        fh = sys.stdout
+        if mode == "wb":
+            fh = getattr(sys.stdout, "buffer", None) or _AsciiWriter(sys.stdout)
         yield fh
         fh.flush()
     else:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import accumulate, count
 from math import comb
 from operator import add
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .config import DEFAULT_CAPS, CapExceeded, Caps
 
@@ -330,28 +330,34 @@ def _materialize(n: int) -> Graph:
     return Graph(tuple(map(rows.__getitem__, masks)))
 
 
-def _meeting_runs(n: int, u: int) -> Iterator[tuple[int, int]]:
-    """Half-open runs [lo, hi), ascending, of the masks v with u < v < 2^n that meet u.
+def _meeting_slices(n: int, u: int, seq: Sequence, starts: Sequence[int]) -> list:
+    """seq[starts[lo]:starts[hi]] for each run [lo, hi) of masks u < v < 2^n meeting u, ascending.
 
-    The masks disjoint from u are the submasks of full & ~u, about 3^n of
-    them over all u against the 4^n/2 pairs. Those above u are the ones with
-    a bit above u's top bit (every v in (u, 2^b), b = u.bit_length(), shares
-    that bit with u); the gaps between them, walked in ascending submask
-    order, are the runs. The walk is its own, not `_submasks`: it starts at
-    the first submask above u, where a walk over every submask of full & ~u
-    would add about 3^n/2 steps over all u.
+    Every run is non-empty. `starts` maps a mask to its place in `seq`: DOT
+    and JSON pass their names with each mask as its own position, CSV a
+    memoryview of its text with the byte offset of each mask's line, so a
+    run is cut out in one slice. The masks disjoint from u are the submasks
+    of full & ~u, about 3^n of them over all u against the 4^n/2 pairs.
+    Those above u are the ones with a bit above u's top bit (every v in (u,
+    2^b), b = u.bit_length(), shares that bit with u); the gaps between
+    them, walked in ascending submask order, are the runs. The walk is its
+    own, not `_submasks`: it starts at the first submask above u, where a
+    walk over every submask of full & ~u would add about 3^n/2 steps over
+    all u.
     """
     free = full_mask(n) & ~u
     top = 1 << n
     lo = u + 1
+    slices = []
     d = (1 << u.bit_length()) & free  # 0 when u's top bit is n - 1
     while d:  # the ascending walk wraps to 0 after the last submask
         if d > lo:
-            yield lo, d
+            slices.append(seq[starts[lo]:starts[d]])
         lo = d + 1
         d = (d - free) & free
     if lo < top:
-        yield lo, top
+        slices.append(seq[starts[lo]:starts[top]])
+    return slices
 
 
 def extension_map(

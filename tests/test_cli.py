@@ -29,7 +29,7 @@ from setgraphs.cli import (
     render_value_table,
     sequence_rows,
 )
-from setgraphs.core import _meeting_runs
+from setgraphs.core import _meeting_slices
 
 
 def run_cli(*argv):
@@ -88,15 +88,35 @@ def test_csv_edge_count_matches_closed_form(tmp_path):
         assert rows == sorted(rows, key=lambda r: tuple(map(int, r.split(","))))
 
 
-def _meeting_run_lists(n: int) -> list[list[tuple[int, int]]]:
-    return [list(_meeting_runs(n, u)) for u in range(1, 1 << n)]
+def _meeting_run_lists(n: int) -> list[list[range]]:
+    # with the masks as their own positions, the slices are the runs of v
+    top = 1 << n
+    return [_meeting_slices(n, u, range(top), range(top + 1)) for u in range(1, top)]
 
 
 def test_edge_stream_count_matches_closed_form_to_12():
     # the runs the exporters slice their names from hold every edge once
     for n in (11, 12):
-        total = sum(hi - lo for runs in _meeting_run_lists(n) for lo, hi in runs)
+        total = sum(len(run) for runs in _meeting_run_lists(n) for run in runs)
         assert total == edge_count_closed(n)
+
+
+def test_meeting_slices_are_the_masks_above_u_that_meet_it():
+    for n in range(1, 9):
+        top = 1 << n
+        names = [f"m{v}" for v in range(top)]
+        for u in range(1, top):
+            runs = _meeting_slices(n, u, range(top), range(top + 1))
+            assert all(runs), (n, u)  # no empty slice
+            assert [v for run in runs for v in run] == [v for v in range(u + 1, top) if u & v]
+            # the same runs cut from any sequence at any positions
+            assert _meeting_slices(n, u, names, range(top + 1)) == [names[r.start:r.stop]
+                                                                   for r in runs]
+        # the full set meets everything but has nothing above it; a u with
+        # the top element meets every mask above it, in one run
+        assert _meeting_slices(n, top - 1, range(top), range(top + 1)) == []
+        for u in range(top >> 1, top - 1):
+            assert _meeting_slices(n, u, range(top), range(top + 1)) == [range(u + 1, top)]
 
 
 # sha256 of `build N --format F` on stdout, taken from the exporters that
@@ -111,6 +131,9 @@ BUILD_DIGESTS = {
     ("csv", 7): "acfe036e047f01620eab112d1254ef3508bc3bfda1d8361d8018e1a0e80a8eb8",
     ("csv", 8): "5dff82b06f5acd5c14c0a4cac27dae91da2ad7031c1d24e0d71b032436cf1dce",
     ("csv", 9): "29e1770dfcf29e5fade0e742cbd46357f4e32ffccf78df0da448b96c5b87df4b",
+    # n = 10 and 11 cross the widths of u at 10, 100 and 1000
+    ("csv", 10): "b3a8392a52dbd9d40b8247897c91eede028dd6f7cf41a212fe1251f7c089a112",
+    ("csv", 11): "af2063ae4298410428aeebe2926af6341e9f363b30c215041ece515df109bbc2",
     # the digest perfbench/run.py pins for its export_n12_csv workload
     ("csv", 12): "1262e2cf06b355ec719d73ba6ffbcd222aed4cbeb68113b4ac4dc092040c58ff",
     ("dot", 1): "77c59f6a15c94b397ab606b23d85694baa0e363016276e073a20428f6f4a269c",
@@ -141,9 +164,21 @@ def test_build_output_is_pinned(fmt, n, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == BUILD_DIGESTS[fmt, n]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "dot", "json"])
+def test_build_to_a_text_stdout_without_a_byte_buffer(fmt):
+    # io.StringIO has no .buffer: build writes its bytes to it as text
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert run_cli("build", "7", "--format", fmt) == 0
+    assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == BUILD_DIGESTS[fmt, 7]
+
+
 def test_csv_writer_matches_the_shared_edge_writer():
-    # render_csv has its own writer; _write_edges, which DOT and JSON still
-    # use, is the reference. n = 10 and 11 cross the widths of u at 10, 100
+    # render_csv cuts its lines from a digit-patched text; _write_edges, which
+    # DOT and JSON use, formats the names it cuts and is the reference. Both
+    # cut with _meeting_slices, so the walk itself is held by
+    # test_meeting_slices_are_the_masks_above_u_that_meet_it, and the text
+    # by BUILD_DIGESTS too. n = 10 and 11 cross the widths of u at 10, 100
     # and 1000, where render_csv rebuilds its text, and every carry in
     # between, where it rewrites more than u's last digit column
     for n in range(1, 12):
@@ -151,6 +186,28 @@ def test_csv_writer_matches_the_shared_edge_writer():
         cli.render_csv(n, fast)
         cli._write_edges(reference, n, [str(m) for m in range(1 << n)], "{u},{v}\n")
         assert fast.getvalue() == reference.getvalue()
+
+
+class _RecordingSink:
+    """A binary stream that keeps the size of each write."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, data):
+        self.sizes.append(len(data))
+        return len(data)
+
+
+def test_csv_is_written_in_blocks():
+    n = 11
+    sink = _RecordingSink()
+    cli.render_csv(n, sink)
+    lines = [sum(map(len, runs)) for runs in _meeting_run_lists(n)]  # per vertex
+    widest = len(b"2047,2047\n")
+    assert max(sink.sizes) <= cli._WRITE_BLOCK + max(lines) * widest
+    assert min(sink.sizes[:-1]) >= cli._WRITE_BLOCK
+    assert len(sink.sizes) < len(lines) // 16
 
 
 class _Sha256Sink:
@@ -234,7 +291,7 @@ def test_edge_stream_matches_pair_scan():
         pairs = [(u, v) for u in range(1, top) for v in range(u + 1, top) if u & v]
         runs = _meeting_run_lists(n)
         assert [(u, v) for u, u_runs in enumerate(runs, start=1)
-                for lo, hi in u_runs for v in range(lo, hi)] == pairs
+                for run in u_runs for v in run] == pairs
 
 
 @pytest.mark.parametrize(
@@ -765,9 +822,7 @@ def test_any_config_value_runs_or_exits_with_one_line():
             with open(path, "w") as fh:
                 json.dump(config, fh)
             err = io.StringIO()
-            # build writes to stdout's byte buffer, which a StringIO lacks
-            stdout = io.TextIOWrapper(io.BytesIO())
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = run_cli("--config", path, *command)
             if code:
                 assert code in (2, 3), (code, err.getvalue())
