@@ -15,12 +15,19 @@ each one runs on a single thread. Exit codes: 0 success, 2 usage error,
 3 resource-guard refusal, 4 two routes to one value disagree (a fault in the
 program), 1 other execution errors. Refuted claims are findings, not
 errors: verify still exits 0.
+
+Every command writes bytes, in blocks of 256 KiB, to stdout or --out; line
+ends are \n on every platform. A write that fails (a closed pipe, say)
+exits 1 with one line. The exporters write one chunk per vertex and rely on
+the stream they are given to buffer it.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import sys
 from contextlib import contextmanager
 from itertools import accumulate
@@ -62,9 +69,8 @@ def _write_edges(fh: BinaryIO, n: int, names: list[str], edge: str, between: str
     u: the names of the masks meeting u above it, which `_meeting_slices`
     cuts from `names` with each mask as its own position, joined and
     encoded once, so no per-edge formatting happens. It serves DOT and
-    JSON, whose chunks are long enough to write one by one; CSV has its own
-    writer, `render_csv`, whose short lines make the list entry and join
-    per edge here the larger part of the cost.
+    JSON; CSV has its own writer, `render_csv`, whose short lines make the
+    list entry and join per edge here the larger part of the cost.
     """
     head, tail = edge.split("{v}")
     positions = list(range(len(names) + 1))
@@ -98,11 +104,6 @@ def _decades(top: int) -> Iterator[tuple[int, int]]:
         first, end = end, end * 10
 
 
-# the bytes render_csv gathers into one write; 1 MiB blocks were no faster
-# and took more memory
-_WRITE_BLOCK = 1 << 18
-
-
 def render_csv(n: int, fh: BinaryIO, *, caps: Caps = DEFAULT_CAPS) -> None:
     """Write the edges of G(n) to the byte stream fh as 'u,v' mask rows, u < v, sorted.
 
@@ -113,16 +114,13 @@ def render_csv(n: int, fh: BinaryIO, *, caps: Caps = DEFAULT_CAPS) -> None:
     u grows. Between rebuilds only the digit columns of u that changed are
     rewritten, and only on the lines above u, the only ones read from then
     on: in each decade of v every line has one length, so a column is one
-    strided slice assignment per decade. The lines of consecutive u are
-    gathered and written in blocks of at least `_WRITE_BLOCK` bytes (but
-    the last), far fewer writes than one per u.
+    strided slice assignment per decade. One chunk is written per u.
     """
     check_ground_size(n, caps.materialize_max_n)
     top = 1 << n
     tails = [b",%d\n" % v for v in range(top)]
     before = [0, *accumulate(map(len, tails))]  # the length of the tails before v's
     width = 0
-    pending, size = [], 0
     for u in range(1, top):
         digits = b"%d" % u
         if len(digits) != width:
@@ -147,14 +145,7 @@ def render_csv(n: int, fh: BinaryIO, *, caps: Caps = DEFAULT_CAPS) -> None:
                         if lo < end:
                             text[starts[lo] + column:starts[end]:step] = fills[d][lo - first:]
         previous = digits
-        chunk = b"".join(_meeting_slices(n, u, view, starts))
-        pending.append(chunk)
-        size += len(chunk)
-        if size >= _WRITE_BLOCK:
-            fh.write(b"".join(pending))
-            pending, size = [], 0
-    if size:
-        fh.write(b"".join(pending))
+        fh.write(b"".join(_meeting_slices(n, u, view, starts)))
 
 
 def render_graph_json(n: int, fh: BinaryIO, *, caps: Caps = DEFAULT_CAPS) -> None:
@@ -322,30 +313,37 @@ class _AsciiWriter:
         self._text.flush()
 
 
-@contextmanager
-def _output(out: str | None, mode: str = "w") -> Iterator[TextIO | BinaryIO]:
-    """stdout for None or '-', else the file at out, opened with mode ('w' or 'wb').
+# the bytes every command gathers into one write; 1 MiB blocks were no faster
+# for CSV and took more memory
+_WRITE_BLOCK = 1 << 18
 
-    Mode 'wb' gets stdout's byte buffer, or an `_AsciiWriter` over stdout
-    when it has none (an io.StringIO, say). Stdout is flushed before the
-    block, so text written earlier comes first, and before it ends, so a
-    closed pipe raises inside it.
+
+@contextmanager
+def _output(out: str | None) -> Iterator[BinaryIO]:
+    """A byte stream onto the file at out, or onto stdout for None or '-'.
+
+    It writes in blocks of `_WRITE_BLOCK` bytes, each whole or raising, so a
+    closed or full pipe fails inside the block, with or without `python -u`.
+    Stdout is flushed first, so text written earlier comes first. A stdout
+    with no descriptor gets its byte buffer (pytest's capture) or, with
+    none, an `_AsciiWriter` (an io.StringIO, say).
     """
     if out is None or out == "-":
         sys.stdout.flush()
-        fh = sys.stdout
-        if mode == "wb":
+        try:
+            out = os.dup(sys.stdout.fileno())
+        except (AttributeError, io.UnsupportedOperation):
             fh = getattr(sys.stdout, "buffer", None) or _AsciiWriter(sys.stdout)
-        yield fh
-        fh.flush()
-    else:
-        with open(out, mode) as fh:
             yield fh
+            fh.flush()
+            return
+    with open(out, "wb", buffering=_WRITE_BLOCK) as fh:
+        yield fh
 
 
 def _emit(text: str, out: str | None) -> None:
     with _output(out) as fh:
-        fh.write(text)
+        fh.write(text.encode())
 
 
 def _load_config(path: str | None) -> dict:
@@ -437,7 +435,7 @@ def main(argv=None) -> int:
                     f"build {args.n} --format {fmt} may write up to {bound} bytes, "
                     f"over the limit of {BUILD_MAX_BYTES}"
                 )
-            with _output(out, "wb") as fh:
+            with _output(out) as fh:
                 exporters[fmt](args.n, fh, caps=caps)
         elif args.command == "invariants":
             _int_setting(args, config, "threads", 1, minimum=1)  # validated, then ignored

@@ -164,13 +164,30 @@ def test_build_output_is_pinned(fmt, n, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == BUILD_DIGESTS[fmt, n]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "dot", "json"])
-def test_build_to_a_text_stdout_without_a_byte_buffer(fmt):
-    # io.StringIO has no .buffer: build writes its bytes to it as text
+TEXT_STDOUT_COMMANDS = {
+    "csv": ("build", "7", "--format", "csv"),
+    "dot": ("build", "7", "--format", "dot"),
+    "json": ("build", "7", "--format", "json"),
+    "invariants": ("invariants", "3"),
+    "sequence": ("sequence", "edges", "--max-n", "5"),
+    "verify": ("verify", "--max-n", "6"),
+    "mela": ("mela",),
+}
+
+
+@pytest.mark.parametrize("command", list(TEXT_STDOUT_COMMANDS))
+def test_build_to_a_text_stdout_without_a_byte_buffer(command, tmp_path):
+    # io.StringIO has no descriptor and no .buffer: every command writes its
+    # bytes to it as text, the same bytes it writes to --out
+    argv = TEXT_STDOUT_COMMANDS[command]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        assert run_cli("build", "7", "--format", fmt) == 0
-    assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == BUILD_DIGESTS[fmt, 7]
+        assert run_cli(*argv) == 0
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert stdout.getvalue().encode() == out.read_bytes()
+    if argv[0] == "build":
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILD_DIGESTS[command, 7]
 
 
 def test_csv_writer_matches_the_shared_edge_writer():
@@ -188,26 +205,42 @@ def test_csv_writer_matches_the_shared_edge_writer():
         assert fast.getvalue() == reference.getvalue()
 
 
-class _RecordingSink:
-    """A binary stream that keeps the size of each write."""
+class _RecordingRaw(io.RawIOBase):
+    """A raw byte stream that keeps the size of each write and the sha256 of all."""
 
     def __init__(self):
         self.sizes = []
+        self.hash = hashlib.sha256()
+
+    def writable(self):
+        return True
 
     def write(self, data):
         self.sizes.append(len(data))
+        self.hash.update(data)
         return len(data)
 
 
-def test_csv_is_written_in_blocks():
+def test_csv_is_written_in_blocks(tmp_path, monkeypatch):
+    # render_csv writes one chunk per vertex; the stream _output opens
+    # gathers them, so the raw writes are blocks of about _WRITE_BLOCK bytes
     n = 11
-    sink = _RecordingSink()
-    cli.render_csv(n, sink)
+    raw, opened = _RecordingRaw(), []
+
+    def recording_open(file, mode, buffering):
+        opened.append((file, mode, buffering))
+        return io.BufferedWriter(raw, buffering)
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    out = str(tmp_path / "g.csv")
+    assert run_cli("build", str(n), "--format", "csv", "--out", out) == 0
+    assert opened == [(out, "wb", cli._WRITE_BLOCK)]
+    assert raw.hash.hexdigest() == BUILD_DIGESTS["csv", n]
     lines = [sum(map(len, runs)) for runs in _meeting_run_lists(n)]  # per vertex
-    widest = len(b"2047,2047\n")
-    assert max(sink.sizes) <= cli._WRITE_BLOCK + max(lines) * widest
-    assert min(sink.sizes[:-1]) >= cli._WRITE_BLOCK
-    assert len(sink.sizes) < len(lines) // 16
+    largest_chunk = max(lines) * len(b"2047,2047\n")
+    assert len(raw.sizes) < len(lines) // 16
+    assert min(raw.sizes[:-1]) >= cli._WRITE_BLOCK - largest_chunk
+    assert max(raw.sizes) <= cli._WRITE_BLOCK
 
 
 class _Sha256Sink:
@@ -282,6 +315,48 @@ def test_closed_pipe_exits_1_with_one_line(child_env):
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert err == b"setgraph: [Errno 32] Broken pipe\n"
+
+
+STDOUT_FAILURE_COMMANDS = {
+    "invariants": ("invariants", "14", "--table", "degrees"),  # 325,242 bytes
+    "build": ("build", "9", "--format", "csv"),  # 921,764 bytes
+}
+
+
+def test_stdout_failures_exit_1_with_one_line(child_env):
+    # every write to stdout lands whole or fails, with or without
+    # PYTHONUNBUFFERED: an unbuffered stdout's raw write may take only part
+    # of what it is given, and a buffered one fails again at exit with a
+    # traceback and exit 120 unless the failure is met inside main
+    children = {}
+    for unbuffered in (True, False):
+        env = {k: v for k, v in child_env.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        for kind in ("closed", "full"):
+            for command, argv in STDOUT_FAILURE_COMMANDS.items():
+                r, w = os.pipe()
+                if kind == "full":  # full, and a write to it does not block
+                    os.set_blocking(w, False)
+                    with contextlib.suppress(BlockingIOError):
+                        while True:
+                            os.write(w, b"x" * 4096)
+                children[command, kind, unbuffered] = r, subprocess.Popen(
+                    [sys.executable, "-m", "setgraphs", *argv],
+                    stdout=w, stderr=subprocess.PIPE, env=env,
+                )
+                os.close(w)
+    for (_, kind, _), (r, _) in children.items():
+        if kind == "closed":  # as `| head -c 10`: the reader leaves mid-write
+            os.read(r, 10)
+            os.close(r)
+    outcomes = {}
+    for (command, kind, unbuffered), (r, proc) in children.items():
+        _, err = proc.communicate(timeout=60)
+        if kind == "full":
+            os.close(r)
+        outcomes[command, kind, unbuffered] = (proc.returncode, err.count(b"\n"), err[:10])
+    assert outcomes == {case: (1, 1, b"setgraph: ") for case in children}
 
 
 def test_edge_stream_matches_pair_scan():
