@@ -8,18 +8,20 @@ Usage:
                     [--out PATH] [--threads K]
     setgraph mela [--max-index K] [--format {json,md}] [--out PATH]
 
-A JSON config file (--config) may preset max_n, threads, format, out, and cap
-overrides; explicit flags win. max_n, max_index and threads must be plain
-integers. threads (and --threads) is accepted and ignored by every command:
-each one runs on a single thread. Exit codes: 0 success, 2 usage error,
-3 resource-guard refusal, 4 two routes to one value disagree (a fault in the
-program), 1 other execution errors. Refuted claims are findings, not
-errors: verify still exits 0.
+A JSON config file (--config), read as UTF-8, may preset max_n, threads,
+format, out, and cap overrides; explicit flags win. max_n, max_index and
+threads must be plain integers. threads (and --threads) is accepted and
+ignored by every command: each one runs on a single thread. Exit codes:
+0 success, 2 usage error, 3 resource-guard refusal, 4 two routes to one
+value disagree (a fault in the program), 1 other execution errors. Refuted
+claims are findings, not errors: verify still exits 0.
 
 Every command writes bytes, in blocks of 256 KiB, to stdout or --out; line
 ends are \n on every platform. A write that fails (a closed pipe, say)
 exits 1 with one line. The exporters write one chunk per vertex and rely on
-the stream they are given to buffer it.
+the stream they are given to buffer it. A stdout without a file descriptor
+(an io.StringIO, say) receives the output as text when the command ends,
+and nothing if it fails.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import sys
 from contextlib import contextmanager
 from itertools import accumulate
 from pathlib import Path
-from typing import BinaryIO, Iterator, TextIO
+from typing import BinaryIO, Iterator
 
 from . import holes, invariants, parameters, verify
 from .mela import check_closure, check_divisibility, mela as mela_sequence
@@ -53,7 +55,6 @@ from .core import (
     vertex_count,
 )
 
-SEQUENCE_METRICS = ("vertices", "edges", "holes", "degree_min", "degree_max", "mela")
 THREADS_HELP = "accepted and ignored; every command runs on one thread"
 
 
@@ -273,44 +274,28 @@ def render_value_table(n: int, *, caps: Caps = DEFAULT_CAPS) -> str:
     return "".join(lines)
 
 
+# the value of each `sequence` metric at n; each entry looks its function up
+# when called, so a rebound module attribute reaches it
+SEQUENCES = {
+    "vertices": lambda n, caps: vertex_count(n, caps=caps),
+    "edges": lambda n, caps: invariants.edge_count_closed(n, caps=caps),
+    "holes": lambda n, caps: holes.triangle_count_corrected(n, caps=caps),
+    "degree_min": lambda n, caps: invariants.degree_extremes(n, caps=caps)[0],
+    "degree_max": lambda n, caps: invariants.degree_extremes(n, caps=caps)[1],
+    "mela": lambda n, caps: mela_sequence(n, caps=caps)[-1],
+}
+
+
 def sequence_rows(metric: str, max_n: int, *, caps: Caps = DEFAULT_CAPS) -> list[tuple[int, int]]:
     """(n, value) rows for one metric, n = 1..max_n."""
-    if metric not in SEQUENCE_METRICS:
+    if metric not in SEQUENCES:
         raise ValueError(f"unknown metric {metric!r}")
     check_int("max_n", max_n)
     holes_cap = min(caps.corrected_max_n, caps.count_max_n)
     cap = holes_cap if metric == "holes" else caps.count_max_n
     if max_n > cap:
         raise CapExceeded(f"sequence '{metric}' capped at max_n <= {cap}, got {max_n}")
-    rows = []
-    for n in range(1, max_n + 1):
-        if metric == "vertices":
-            value = vertex_count(n, caps=caps)
-        elif metric == "edges":
-            value = invariants.edge_count_closed(n, caps=caps)
-        elif metric == "holes":
-            value = holes.triangle_count_corrected(n, caps=caps)
-        elif metric == "degree_min":
-            value = invariants.degree_extremes(n, caps=caps)[0]
-        elif metric == "degree_max":
-            value = invariants.degree_extremes(n, caps=caps)[1]
-        else:  # mela
-            value = mela_sequence(n, caps=caps)[-1]
-        rows.append((n, value))
-    return rows
-
-
-class _AsciiWriter:
-    """A byte stream over a text stream: each write decodes its ASCII bytes into the text."""
-
-    def __init__(self, text: TextIO):
-        self._text = text
-
-    def write(self, data: bytes) -> int:
-        return self._text.write(data.decode("ascii"))
-
-    def flush(self) -> None:
-        self._text.flush()
+    return [(n, SEQUENCES[metric](n, caps)) for n in range(1, max_n + 1)]
 
 
 # the bytes every command gathers into one write; 1 MiB blocks were no faster
@@ -324,18 +309,24 @@ def _output(out: str | None) -> Iterator[BinaryIO]:
 
     It writes in blocks of `_WRITE_BLOCK` bytes, each whole or raising, so a
     closed or full pipe fails inside the block, with or without `python -u`.
-    Stdout is flushed first, so text written earlier comes first. A stdout
-    with no descriptor gets its byte buffer (pytest's capture) or, with
-    none, an `_AsciiWriter` (an io.StringIO, say).
+    Stdout is flushed first, so text written earlier comes first.
+
+    A stdout with no descriptor is text held in memory (an io.StringIO, or
+    pytest's capture): the bytes are gathered in one io.BytesIO and written
+    to it as text when the block ends. Two trade-offs hold for such a stdout
+    alone, which holds the whole text anyway: a command that fails midway
+    leaves it nothing, not part of its output, and the output is held twice
+    in memory until it is written.
     """
     if out is None or out == "-":
         sys.stdout.flush()
         try:
             out = os.dup(sys.stdout.fileno())
         except (AttributeError, io.UnsupportedOperation):
-            fh = getattr(sys.stdout, "buffer", None) or _AsciiWriter(sys.stdout)
+            fh = io.BytesIO()
             yield fh
-            fh.flush()
+            sys.stdout.write(fh.getvalue().decode())
+            sys.stdout.flush()
             return
     with open(out, "wb", buffering=_WRITE_BLOCK) as fh:
         yield fh
@@ -349,7 +340,7 @@ def _emit(text: str, out: str | None) -> None:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    data = json.loads(Path(path).read_text())
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
     return data
@@ -395,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--out")
 
     p_seq = sub.add_parser("sequence", help="one row per n: 'n,value'")
-    p_seq.add_argument("metric", choices=list(SEQUENCE_METRICS))
+    p_seq.add_argument("metric", choices=list(SEQUENCES))
     p_seq.add_argument("--max-n", dest="max_n", type=int)
     p_seq.add_argument("--out")
 

@@ -172,22 +172,47 @@ TEXT_STDOUT_COMMANDS = {
     "sequence": ("sequence", "edges", "--max-n", "5"),
     "verify": ("verify", "--max-n", "6"),
     "mela": ("mela",),
+    # a text stream encoding UTF-16 over a byte buffer: bytes written beneath
+    # its text layer would decode as other characters
+    "csv_utf16": ("build", "7", "--format", "csv"),
 }
 
 
 @pytest.mark.parametrize("command", list(TEXT_STDOUT_COMMANDS))
 def test_build_to_a_text_stdout_without_a_byte_buffer(command, tmp_path):
-    # io.StringIO has no descriptor and no .buffer: every command writes its
-    # bytes to it as text, the same bytes it writes to --out
+    # a stdout with no descriptor (io.StringIO has no .buffer either) gets
+    # every command's output as text, the same text it writes to --out
     argv = TEXT_STDOUT_COMMANDS[command]
-    stdout = io.StringIO()
+    if command.endswith("_utf16"):
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-16", newline="")
+    else:
+        stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert run_cli(*argv) == 0
     out = tmp_path / "out"
     assert run_cli(*argv, "--out", str(out)) == 0
-    assert stdout.getvalue().encode() == out.read_bytes()
+    stdout.seek(0)
+    assert stdout.read().encode() == out.read_bytes()
     if argv[0] == "build":
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILD_DIGESTS[command, 7]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILD_DIGESTS[argv[3], 7]
+
+
+def test_a_build_that_fails_midway_leaves_a_text_stdout_empty(monkeypatch):
+    # a stdout with no descriptor gets the output when the command ends, so
+    # a failure after four vertices' lines leaves it nothing
+    slices = cli._meeting_slices
+
+    def failing_slices(n, u, *args):
+        if u == 5:
+            raise OSError("no space left on device")
+        return slices(n, u, *args)
+
+    monkeypatch.setattr(cli, "_meeting_slices", failing_slices)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        assert run_cli("build", "4", "--format", "csv") == 1
+    assert stdout.getvalue() == ""
+    assert stderr.getvalue() == "setgraph: no space left on device\n"
 
 
 def test_csv_writer_matches_the_shared_edge_writer():
@@ -678,6 +703,21 @@ def test_config_file_flags_win(tmp_path):
     assert run_cli("--config", str(config), "sequence", "vertices", "--max-n", "2",
                    "--out", str(out)) == 0
     assert out.read_text() == "1,1\n2,3\n"
+
+
+def test_config_is_read_as_utf8(child_env, tmp_path):
+    # JSON text is UTF-8 (RFC 8259), whatever the locale's encoding: a
+    # non-ASCII value must neither fail to decode under an ASCII locale nor
+    # raise the EncodingWarning of a read in the locale's encoding
+    config = tmp_path / "config.json"
+    config.write_text('{"note": "\u00e9"}', encoding="utf-8")
+    argv = ["-m", "setgraphs", "--config", str(config), "sequence", "edges", "--max-n", "3"]
+    ascii_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    warn = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    for flags, env in (([], ascii_locale), (warn, {})):
+        proc = subprocess.run([sys.executable, *flags, *argv], capture_output=True,
+                              env={**child_env, **env})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"1,0\n2,2\n3,15\n", b"")
 
 
 def test_config_cap_override(tmp_path):
