@@ -8,13 +8,14 @@ Usage:
                     [--out PATH] [--threads K]
     setgraph mela [--max-index K] [--format {json,md}] [--out PATH]
 
-A JSON config file (--config), read as UTF-8, may preset max_n, threads,
-format, out, and cap overrides; explicit flags win. max_n, max_index and
-threads must be plain integers. threads (and --threads) is accepted and
-ignored by every command: each one runs on a single thread. Exit codes:
-0 success, 2 usage error, 3 resource-guard refusal, 4 two routes to one
-value disagree (a fault in the program), 1 other execution errors. Refuted
-claims are findings, not errors: verify still exits 0.
+A JSON config file (--config), read as UTF-8 with or without a byte order
+mark, may preset max_n, threads, format, out, and cap overrides; explicit
+flags win. max_n, max_index and threads must be plain integers. threads
+(and --threads) is accepted and ignored by every command: each one runs on
+a single thread. Exit codes: 0 success, 2 usage error, 3 resource-guard
+refusal, 4 two routes to one value disagree (a fault in the program), 1
+other execution errors. Refuted claims are findings, not errors: verify
+still exits 0.
 
 Every command writes bytes, in blocks of 256 KiB, to stdout or --out; line
 ends are \n on every platform. A write that fails (a closed pipe, say)
@@ -262,11 +263,11 @@ def render_value_table(n: int, *, caps: Caps = DEFAULT_CAPS) -> str:
     coincide vertex by vertex (a subset meets exactly as many other subsets
     as its vertex has neighbors), so both come from the same closed form.
     """
+    check_ground_size(n, caps.count_max_n)
     if n > caps.materialize_max_n:
         raise CapExceeded(
             f"per-vertex table capped at n <= {caps.materialize_max_n}, got {n}"
         )
-    check_ground_size(n, caps.count_max_n)
     lines = []
     for m in canonical_masks(n):
         value = invariants.degree_closed(n, m.bit_count())
@@ -340,7 +341,7 @@ def _emit(text: str, out: str | None) -> None:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
     return data

@@ -371,9 +371,14 @@ def extension_map(
     adjacent to its own replica, and the replicas together with the new
     singleton induce a complete subgraph of order 2^n. Erstwhile vertices
     and replicas come in canonical order of G(n), replica i from vertex i.
+
+    It is the one definition of G(n) -> G(n+1), and two claims read it: C9
+    checks that the three parts partition G(n+1), and C12 steps the
+    tightness recursion along it (`invariants.tightness_recursion_step`),
+    which reads the pairing of replica i with vertex i.
     """
-    check_ground_size(n + 1, caps.count_max_n)
     check_ground_size(n, caps.count_max_n)
+    check_ground_size(n + 1, caps.count_max_n)
     old = canonical_masks(n)
     new_bit = 1 << n
     return old, tuple(m | new_bit for m in old), new_bit

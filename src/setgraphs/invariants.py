@@ -3,10 +3,12 @@
 Each quantity is available along independent routes: a closed form, the
 recursion that the claims harness adjudicates, and a brute-force scan over
 explicit rows. The routes are kept separate on purpose so they can be played
-against each other. Tightness is counted over explicit subsets twice: the
-scalar `tightness` walks one mask's disjoint submasks and is the reference
-that the tests hold `tightness_vector` to, while the vector counts every
-mask's disjoint subsets at once by a subset-sum sweep.
+against each other. The tightness recursion steps along `extension_map`, the
+one definition of G(n+1) as erstwhile vertices, replicas and a new singleton.
+Tightness is counted over explicit subsets twice: the scalar `tightness`
+walks one mask's disjoint submasks and is the reference that the tests hold
+`tightness_vector` to, while the vector counts every mask's disjoint subsets
+at once by a subset-sum sweep.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .core import (
     canonical_masks,
     check_ground_size,
     check_mask,
+    extension_map,
     full_mask,
 )
 
@@ -139,24 +142,20 @@ def _tightness_vector(n: int) -> tuple[int, ...]:
 def tightness_recursion_step(n: int, old_values) -> tuple[int, ...]:
     """Tightness values of G(n+1) from those of G(n), in canonical order.
 
-    The new singleton gets 2^n - 1, an erstwhile vertex with old value k gets
-    2k + 1, and the replica of a vertex with old value k gets 2^n + k.
+    The three parts of G(n+1) come from `extension_map(n)`: the new
+    singleton gets 2^n - 1, erstwhile vertex i with old value k_i gets
+    2k_i + 1, and replica i, the one made from vertex i, gets 2^n + k_i.
     """
     old_values = tuple(old_values)
     expected = (1 << n) - 1
     if len(old_values) != expected:
         raise ValueError(f"expected {expected} values for n={n}, got {len(old_values)}")
-    old_by_mask = dict(zip(canonical_masks(n), old_values))
-    new_bit = 1 << n
-    out = []
-    for m in canonical_masks(n + 1):
-        if m == new_bit:
-            out.append((1 << n) - 1)
-        elif m & new_bit:
-            out.append((1 << n) + old_by_mask[m ^ new_bit])
-        else:
-            out.append(2 * old_by_mask[m] + 1)
-    return tuple(out)
+    erstwhile, replicas, new_singleton = extension_map(n)
+    by_mask = {new_singleton: (1 << n) - 1}
+    for m, r, k in zip(erstwhile, replicas, old_values):
+        by_mask[m] = 2 * k + 1
+        by_mask[r] = (1 << n) + k
+    return tuple(map(by_mask.__getitem__, canonical_masks(n + 1)))
 
 
 def tightness_checksum(n: int, *, caps: Caps = DEFAULT_CAPS) -> int:

@@ -481,10 +481,10 @@ ALL_CLAIM_IDS = tuple(claim.claim_id for claim in REGISTRY)
 
 
 def resolve_selection(selection) -> tuple[str, ...]:
-    """Expand 'all' and validate claim ids, preserving registry order.
+    """Validate claim ids, then expand 'all', preserving registry order.
 
     selection is a str or a list or tuple of strs; each may hold
-    comma-separated ids.
+    comma-separated ids. An unknown id is refused even next to 'all'.
     """
     if isinstance(selection, str):
         selection = [selection]
@@ -500,11 +500,11 @@ def resolve_selection(selection) -> tuple[str, ...]:
                 wanted.append(part)
     if not wanted:
         raise ValueError("empty claim selection")
-    if any(w.lower() == "all" for w in wanted):
-        return ALL_CLAIM_IDS
-    unknown = [w for w in wanted if w not in CLAIMS_BY_ID]
+    unknown = [w for w in wanted if w not in CLAIMS_BY_ID and w.lower() != "all"]
     if unknown:
         raise ValueError(f"unknown claim id(s): {', '.join(unknown)}")
+    if any(w.lower() == "all" for w in wanted):
+        return ALL_CLAIM_IDS
     chosen = set(wanted)
     return tuple(cid for cid in ALL_CLAIM_IDS if cid in chosen)
 

@@ -111,6 +111,16 @@ def _doubled_replica(fn):
     return perturbed
 
 
+def _replicas_reversed(fn):
+    # replica i is that of vertex V - 1 - i: still a partition of G(n+1),
+    # and from n = 2, where V = 3, the outer replicas trade their vertices
+    def perturbed(*args, **kwargs):
+        erstwhile, replicas, new_singleton = fn(*args, **kwargs)
+        return erstwhile, replicas[::-1], new_singleton
+
+    return perturbed
+
+
 def _extra_triangle(fn):
     return lambda *args, **kwargs: fn(*args, **kwargs) + [(0, 0, 0)]
 
@@ -304,6 +314,8 @@ LATER_ROUTES = [
       "actual": {"cardinality": 1, "degrees": [0, 1]}}),
     ("C5", "verify.materialize", _apex_edge_dropped, None, (2,),
      {"n": 2, "expected": [2], "actual": []}),
+    ("C12", "invariants.extension_map", _replicas_reversed, None, (1, 2),
+     {"n": 2, "expected": 6, "actual": 5, "witness": {"mask": 5}}),
     ("C13", "parameters.chromatic_coloring", _member_recolored, None, (1, 2),
      {"n": 2, "expected": "each mask of G(n) once", "actual": {"missing": [3], "surplus": [1]}}),
     ("C13", "parameters.chromatic_coloring", _second_members_swapped, None, (1, 2, 3),

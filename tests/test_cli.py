@@ -467,6 +467,9 @@ def test_value_table_export(capsys):
         assert int(value) == tightness(4, int(mask))
     assert main(["invariants", "4", "--table", "tightness"]) == 0
     assert capsys.readouterr().out == table
+    # n is checked before it is compared with a cap
+    with pytest.raises(ValueError, match="got '3'$"):
+        render_value_table("3")
     with pytest.raises(SystemExit) as exc:
         main(["invariants", "3", "--table", "girth"])
     assert exc.value.code == 2
@@ -720,6 +723,14 @@ def test_config_is_read_as_utf8(child_env, tmp_path):
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"1,0\n2,2\n3,15\n", b"")
 
 
+def test_config_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    # some editors save UTF-8 with a BOM; RFC 8259 lets a parser ignore it
+    config = tmp_path / "bom.json"
+    config.write_bytes(b'\xef\xbb\xbf{"max_n": 3}')
+    assert run_cli("--config", str(config), "sequence", "edges") == 0
+    assert capsys.readouterr() == ("1,0\n2,2\n3,15\n", "")
+
+
 def test_config_cap_override(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"caps": {"count_max_n": 25}}))
@@ -892,6 +903,17 @@ def test_config_claims_must_be_strings(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("setgraph: claims must be a string or a list of strings")
     assert err.count("\n") == 1
+
+
+def test_unknown_claim_id_next_to_all_is_a_usage_error(tmp_path, capsys):
+    # 'all' must not swallow an id that names no claim, from the flag or the config
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"claims": ["all", "C99"]}))
+    out = tmp_path / "report.json"
+    for argv in (("verify", "--claims", "all,C99"), ("--config", str(config), "verify")):
+        assert run_cli(*argv, "--max-n", "2", "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", "setgraph: unknown claim id(s): C99\n")
+        assert not out.exists()
 
 
 def test_any_config_value_runs_or_exits_with_one_line():

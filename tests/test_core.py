@@ -280,6 +280,10 @@ def test_extension_map_counts_and_examples():
         assert not any(m & new_singleton for m in erstwhile)
         assert all(m & new_singleton for m in replicas)
         assert sorted((*erstwhile, *replicas, new_singleton)) == list(range(1, 1 << (n + 1)))
+    # n is checked as given, before n + 1 is computed from it
+    for bad in ("3", 3.0):
+        with pytest.raises(ValueError, match=f"got {bad!r}$"):
+            extension_map(bad)
 
 
 def test_extension_parallel_linkage_and_replica_clique():

@@ -41,6 +41,11 @@ def test_selection_handling():
         run_claims([], 6)
     with pytest.raises(ValueError):
         run_claims("C99", 6)
+    # 'all' next to an unknown id does not drop it
+    with pytest.raises(ValueError, match=r"unknown claim id\(s\): C99$"):
+        run_claims(["all", "C99"], 2)
+    with pytest.raises(ValueError, match=r"unknown claim id\(s\): Cx$"):
+        run_claims("C1,all,Cx", 2)
     with pytest.raises(ValueError, match="max_n must be positive"):
         run_claims("all", 0)
 
