@@ -17,12 +17,13 @@ refusal, 4 two routes to one value disagree (a fault in the program), 1
 other execution errors. Refuted claims are findings, not errors: verify
 still exits 0.
 
-Every command writes bytes, in blocks of 256 KiB, to stdout or --out; line
-ends are \n on every platform. A write that fails (a closed pipe, say)
-exits 1 with one line. The exporters write one chunk per vertex and rely on
-the stream they are given to buffer it. A stdout without a file descriptor
-(an io.StringIO, say) receives the output as text when the command ends,
-and nothing if it fails.
+Every command writes bytes, in blocks of 256 KiB (a shorter report in one
+block of its own size), to stdout or --out; line ends are \n on every
+platform. A write that fails (a closed pipe, say) exits 1 with one line.
+The exporters write one chunk per vertex and rely on the stream they are
+given to buffer it. A stdout without a file descriptor (an io.StringIO,
+say) receives the output as text when the command ends, and nothing if it
+fails.
 """
 
 from __future__ import annotations
@@ -305,10 +306,10 @@ _WRITE_BLOCK = 1 << 18
 
 
 @contextmanager
-def _output(out: str | None) -> Iterator[BinaryIO]:
+def _output(out: str | None, block: int = _WRITE_BLOCK) -> Iterator[BinaryIO]:
     """A byte stream onto the file at out, or onto stdout for None or '-'.
 
-    It writes in blocks of `_WRITE_BLOCK` bytes, each whole or raising, so a
+    It writes in blocks of up to `block` bytes, each whole or raising, so a
     closed or full pipe fails inside the block, with or without `python -u`.
     Stdout is flushed first, so text written earlier comes first.
 
@@ -329,13 +330,17 @@ def _output(out: str | None) -> Iterator[BinaryIO]:
             sys.stdout.write(fh.getvalue().decode())
             sys.stdout.flush()
             return
-    with open(out, "wb", buffering=_WRITE_BLOCK) as fh:
+    with open(out, "wb", buffering=block) as fh:
         yield fh
 
 
 def _emit(text: str, out: str | None) -> None:
-    with _output(out) as fh:
-        fh.write(text.encode())
+    """Write a whole report through a buffer no larger than the report;
+    buffering=1 would ask a binary file for line buffering, so it is 2 at
+    least."""
+    data = text.encode()
+    with _output(out, max(2, min(len(data), _WRITE_BLOCK))) as fh:
+        fh.write(data)
 
 
 def _load_config(path: str | None) -> dict:

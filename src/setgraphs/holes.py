@@ -21,13 +21,16 @@ Per-vertex incidence has three routes:
   beyond the row check of every `Graph` it shares no code with the
   identity, so it stays the reference for the tests and claim C7;
 * _incidence_by_size runs the same identity at one vertex per cardinality,
-  in mask space, and builds no graph. Its rows are half-width: they index
-  the 2^(n-1) masks of {a_2, ..., a_n}, because a_1 is free at every
-  complement neighbour it visits (each full-width mask comes twice, with
-  and without a_1) and lies in every representative. The size-1 term needs
-  no AND: that representative's row holds every non-empty reduced mask.
-  primitive_degrees on full rows stays the test that its symmetry
-  assumption holds.
+  in mask space, and builds no graph. It reads one complement neighbour per
+  orbit too: the neighbours of one size that a representative has are
+  carried onto each other by permutations that fix it, so one row of each
+  size, weighed by the number of its peers, stands for them all: about
+  n^2 / 2 row ANDs in all, not one per neighbour. Its rows are half-width:
+  they index the 2^(n-1) masks of {a_2, ..., a_n}, because a_1 is free at
+  every complement neighbour it reads (each full-width mask comes twice,
+  with and without a_1) and lies in every representative. Rows, not time,
+  bound its range: a row holds 2^(n-1) bits. primitive_degrees on full rows
+  stays the test that its symmetry assumption holds.
 
 hole_report reads h_exact and its histogram from _incidence_by_size and
 checks them against the closed forms and the corrected recursion; `setgraph
@@ -38,7 +41,6 @@ route for claims C11 and C20, the n = 13 acceptance gate and the tests.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import accumulate
 from math import comb
 
 from .config import DEFAULT_CAPS, CapExceeded, Caps, RouteMismatch
@@ -224,39 +226,35 @@ def _incidence_by_size(n: int) -> tuple[tuple[int, ...], list[int], int]:
 
     A permutation of the ground set maps G(n) onto itself and any k-subset
     onto any other, so every k-subset has degree d_k and incidence t_k. The
-    per-vertex identity of primitive_degrees runs at each representative
-    over its 2^(n-k) - 1 complement neighbours w, the non-empty subsets of
-    the elements above its own; the complement row of a mask marks the
-    non-empty submasks of its free set, the elements it lacks. Every such w
-    is a non-empty subset of {a_2, ..., a_n}, and a w whose lowest element
-    is a_(L+1) neighbours the representatives of the sizes k <= L. So one
-    depth-first walk visits each w once, reads its row once and credits
-    every size it neighbours.
+    per-vertex identity of primitive_degrees runs at the representative
+    rep_k = {a_1, ..., a_k} over its complement neighbours w, the non-empty
+    subsets of {a_(k+1), ..., a_n}; the complement row of a mask marks the
+    non-empty submasks of its free set, the elements it lacks. Every
+    permutation of {a_(k+1), ..., a_n} fixes rep_k and maps G(n) onto
+    itself, and these permutations carry any j-subset of those elements
+    onto any other. So d(w) and |comp(rep_k) & comp(w)| depend on j alone,
+    and one neighbour per j stands for its C(n-k, j) peers: w_j =
+    {a_(n-j+1), ..., a_n}, which lies above a_k for every j <= n - k.
 
     Rows are half-width: they index the 2^(n-1) masks of the reduced
-    lattice {a_2, ..., a_n} (bit j stands for a_(j+2)). a_1 lies in no w, so
+    lattice {a_2, ..., a_n} (bit i stands for a_(i+2)). a_1 lies in no w, so
     it is free at every w, and w's full-width row is its reduced row with
     each mask taken with and without a_1: d(w) = V - 2 * popcount(row), the
     row keeping the empty mask. Every representative holds a_1, so its
     full-width row is its reduced row, and an AND of two reduced rows counts
     the masks that the AND of the full-width rows counts.
-    The walk starts at w = {a_2, ..., a_n}, whose reduced free set is empty
-    (row 1), and each child drops from w one element above the last one
-    dropped, which joins the free set: the child's row is one shift-or of
-    its parent's. The representative of size k has the free set
-    {a_(k+1), ..., a_n}, so its row is the row of size k + 1 with a_(k+1)
-    joined: a chain of n - 1 shift-ors from the apex row, 1, builds all n
-    of them, and dropping the empty mask gives the representative rows.
-    The row of size 1 holds every non-empty reduced mask, so its AND with a
-    walk row is that row less the empty mask: the size-1 term is the
-    popcount already taken, minus 1, an identity of rows. The summed
-    neighbour degree of each size is credited once per w, under w's lowest
-    element, and summed over the sizes it neighbours at the end. The stack
-    holds O(n^2) rows, and the walk does about 2^(n-1) ANDs in all.
+    The free set of rep_k is {a_(k+1), ..., a_n}, so its row is the row of
+    size k + 1 with a_(k+1) joined: a chain of n - 1 shift-ors from the apex
+    row, 1, builds all n of them, and dropping the empty mask gives the
+    representative rows. The reduced free set of w_j is {a_2, ..., a_(n-j)},
+    so the neighbour rows are a second chain of n - 2 shift-ors from the
+    row of w_(n-1), 1. The sizes then take about n^2 / 2 ANDs in all.
 
     |E| is half of sum_k C(n,k) * d_k. Degrees are read from the popcounts
-    of the rows, not from a closed form. An odd doubled edge count or
-    complement incidence, or a negative incidence, raises ValueError.
+    of the rows, not from a closed form; w_j and the representative of size
+    j are two vertices of one orbit, so a neighbour row whose degree is not
+    d_j raises ValueError, as do an odd doubled edge count or complement
+    incidence and a negative incidence.
     """
     v = (1 << n) - 1  # 2^n - 1 vertices
     top = n - 1  # reduced elements 0..top-1 are a_2..a_n
@@ -269,27 +267,22 @@ def _incidence_by_size(n: int) -> tuple[tuple[int, ...], list[int], int]:
     if twice_edges % 2:
         raise ValueError("odd doubled edge count")
     edges = twice_edges // 2
-    far_by_lowest = [0] * n
-    shared = [0] * n
-    # (row of w, the lowest element of w, the first element a child may
-    # drop); every element from the first one up is still in w, so a child
-    # keeps w's lowest element unless it drops it, which only the first
-    # child of a w whose lowest element is that first one can do
-    stack = [(1, 0, 0)] if top else []
-    while stack:
-        row, lowest, first = stack.pop()
-        ones = row.bit_count()
-        far_by_lowest[lowest] += v - 2 * ones
-        shared[0] += ones - 1
-        for i in range(1, lowest + 1):
-            shared[i] += (rep_rows[i] & row).bit_count()
-        if lowest == first:
-            if first + 1 < top:  # else w is {a_n}, which no child may empty
-                stack.append((_with_element(row, first), first + 1, first + 1))
-            first += 1
-        for b in range(first, top):
-            stack.append((_with_element(row, b), lowest, b + 1))
-    far = list(accumulate(reversed(far_by_lowest)))[::-1]
+    w_rows = [1] if top else []  # w_(n-1), ..., w_1
+    for b in range(top - 1):
+        w_rows.append(_with_element(w_rows[-1], b))
+    w_rows.reverse()
+    w_degrees = [v - 2 * row.bit_count() for row in w_rows]
+    if w_degrees != degrees[:top]:
+        raise ValueError(
+            f"rows are not symmetric: the neighbour rows give the degrees {w_degrees}, "
+            f"the representative rows {degrees[:top]}"
+        )
+    far = []
+    shared = []
+    for k, rep in enumerate(rep_rows, 1):
+        weights = [comb(n - k, j) for j in range(1, n - k + 1)]
+        far.append(sum(c * d for c, d in zip(weights, w_degrees)))
+        shared.append(sum(c * (rep & row).bit_count() for c, row in zip(weights, w_rows)))
     return _incidences(v, edges, degrees, far, shared), degrees, edges
 
 
@@ -326,9 +319,9 @@ def _exact_max_n(caps: Caps) -> int:
     """The largest n at which h is counted exactly: hole_report's gate, read
     also by `setgraph invariants` and the ranges of claims C7, C11 and C20.
 
-    The per-size walk needs neither cap, but keeping the gate
+    The per-size route needs neither cap, but keeping the gate
     min(triangle_exact_max_n, materialize_max_n) keeps every report
-    byte-identical under every cap until the walk gets a cap of its own.
+    byte-identical under every cap until the route gets a cap of its own.
     """
     return min(caps.triangle_exact_max_n, caps.materialize_max_n)
 
@@ -338,13 +331,13 @@ def hole_report(n: int, *, threads: int = 1, caps: Caps = DEFAULT_CAPS) -> HoleR
 
     For n <= _exact_max_n(caps), _incidence_by_size gives t_k at one vertex
     per cardinality; the histogram maps t_k to the C(n,k) vertices that
-    share it, and h_exact is a third of sum_k C(n,k) * t_k. The walk's d_k
+    share it, and h_exact is a third of sum_k C(n,k) * t_k. The route's d_k
     must equal degree_closed(n, k) and its |E| edge_count_closed(n); the sum
     must be a multiple of 3; t_n must equal the apex incidence |E| - max
     degree; and h_exact must equal h_corrected where both are computed. The
     first check that fails raises RouteMismatch, which names n and both
-    routes; so does a ValueError from a guard of the walk, whose message it
-    keeps. The walk reads no input, so each is a fault in the program.
+    routes; so does a ValueError from a guard of the route, whose message
+    it keeps. The route reads no input, so each is a fault in the program.
 
     ``threads`` is accepted and ignored: everything runs on one thread. It
     stays because the benchmark's child process (perfbench/child.py) calls
@@ -371,11 +364,11 @@ def hole_report(n: int, *, threads: int = 1, caps: Caps = DEFAULT_CAPS) -> HoleR
         h_exact, rest = divmod(sum(t * count for t, count in histogram.items()), 3)
         checks = (
             ((degrees, edges) == (closed, closed_edges),
-             f"the per-size walk gives the degrees {degrees} and |E| = {edges}, "
+             f"the per-size route gives the degrees {degrees} and |E| = {edges}, "
              f"degree_closed and edge_count_closed give {closed} and {closed_edges}"),
             (not rest, "triangle incidences do not sum to a multiple of 3"),
             (incidence[-1] == apex,
-             f"the per-size walk gives the apex incidence {incidence[-1]}, "
+             f"the per-size route gives the apex incidence {incidence[-1]}, "
              f"|E| - max degree gives {apex}"),
             (corrected is None or h_exact == corrected,
              f"the per-size incidences give h_exact = {h_exact}, "

@@ -268,6 +268,22 @@ def test_csv_is_written_in_blocks(tmp_path, monkeypatch):
     assert max(raw.sizes) <= cli._WRITE_BLOCK
 
 
+def test_a_report_is_written_through_a_buffer_of_its_own_size(tmp_path, monkeypatch):
+    # a report of a few KB gets a buffer of its size, not a whole
+    # _WRITE_BLOCK; the text lands in one raw write all the same
+    raw, opened = _RecordingRaw(), []
+
+    def recording_open(file, mode, buffering):
+        opened.append((file, mode, buffering))
+        return io.BufferedWriter(raw, buffering)
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    out = str(tmp_path / "inv.json")
+    assert run_cli("invariants", "5", "--out", out) == 0
+    assert opened == [(out, "wb", raw.sizes[0])]
+    assert raw.sizes[0] < cli._WRITE_BLOCK and len(raw.sizes) == 1
+
+
 class _Sha256Sink:
     """A binary stream that keeps only the sha256 of what is written to it."""
 
@@ -581,13 +597,13 @@ def test_route_mismatch_exits_4_with_one_line(monkeypatch, capsys):
     )
 
 
-def _invariants_3_with_a_skewed_walk_row(child_env, extra):
-    # the walk's step to the row of {a3} in G(3) also sets the bits of extra
+def _invariants_3_with_a_skewed_neighbour_row(child_env, extra):
+    # the step to the neighbour row of {a3} in G(3) also flips the bits of extra
     code = f"""
 import sys
 from setgraphs import cli, holes
 real = holes._with_element
-holes._with_element = lambda row, b: real(row, b) | ({extra} if (row, b) == (1, 0) else 0)
+holes._with_element = lambda row, b: real(row, b) ^ ({extra} if (row, b) == (1, 0) else 0)
 sys.exit(cli.main(["invariants", "3"]))
 """
     proc = subprocess.run(
@@ -599,17 +615,17 @@ sys.exit(cli.main(["invariants", "3"]))
 
 
 def test_route_mismatch_exits_4_in_a_child(child_env):
-    # the skewed walk row of test_hole_report_rejects_a_skewed_row_that_passes_every_guard
-    assert _invariants_3_with_a_skewed_walk_row(child_env, 1 << 0b11 | 1 << 4) == (
-        "setgraph: routes disagree: n=3: the per-size incidences give h_exact = 20, "
+    # the skewed row of test_hole_report_rejects_a_skewed_row_that_passes_every_guard
+    assert _invariants_3_with_a_skewed_neighbour_row(child_env, 0b10010) == (
+        "setgraph: routes disagree: n=3: the per-size incidences give h_exact = 14, "
         "the corrected recursion gives 13\n"
     )
 
 
 def test_a_failed_walk_guard_exits_4_in_a_child(child_env):
-    # the walk reads no input, so its failed guard is a fault in the program,
-    # not the usage error's exit 2
-    assert _invariants_3_with_a_skewed_walk_row(child_env, 1 << 0b10) == (
+    # the per-size route reads no input, so its failed guard is a fault in
+    # the program, not the usage error's exit 2
+    assert _invariants_3_with_a_skewed_neighbour_row(child_env, 0b110) == (
         "setgraph: routes disagree: n=3: rows are not symmetric: "
         "odd doubled complement incidence\n"
     )

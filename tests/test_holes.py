@@ -331,7 +331,7 @@ def _by_size_histogram(n: int) -> Counter:
 def test_incidence_by_size_matches_full_rows():
     # primitive_degrees reads every vertex of the explicit graph, so equal
     # histograms show that the vertices of one size share one incidence;
-    # the walk's degrees and |E| are checked against the rows the same way
+    # the route's degrees and |E| are checked against the rows the same way
     for n in range(1, 13):
         g = materialize(n)
         assert _by_size_histogram(n) == Counter(primitive_degrees(g))
@@ -358,14 +358,17 @@ def _incidence_closed(n: int, k: int) -> int:
 
 def test_incidence_by_size_sums_to_three_h():
     # every reference is a closed form; the per-size route reads none, and
-    # each t_k is checked on its own, not only through the sum
-    for n in range(1, 16):
+    # each t_k is checked on its own, not only through the sum; up to
+    # n = 20, count_max_n, the rows are at most 64 KiB each, and the
+    # corrected recursion is let run one step past its cap
+    caps = DEFAULT_CAPS.with_overrides(corrected_max_n=DEFAULT_CAPS.count_max_n)
+    for n in range(1, caps.count_max_n + 1):
         incidence, degrees, edges = _incidence_by_size(n)
         assert degrees == [invariants.degree_closed(n, k) for k in range(1, n + 1)]
         assert edges == edge_count_closed(n)
         assert incidence == tuple(_incidence_closed(n, k) for k in range(1, n + 1))
         tripled = sum(comb(n, k) * t for k, t in enumerate(incidence, 1))
-        assert tripled == 3 * triangle_count_corrected(n)
+        assert tripled == 3 * triangle_count_corrected(n, caps=caps)
         assert tripled == 3 * _h_by_complement_counting(n)
         assert incidence[-1] == apex_primitive_degree(n)
 
@@ -383,9 +386,10 @@ def test_incidence_by_size_reads_no_closed_form(monkeypatch):
 
 
 def test_incidence_by_size_takes_one_row_step_per_neighbour_row(monkeypatch):
-    # the walk builds each of the 2^(n-1) - 1 neighbour rows once, the root
-    # by hand and every other one by one shift-or of its parent's row; the
-    # n representative rows are a chain of n - 1 shift-ors from the apex row
+    # the n representative rows are a chain of n - 1 shift-ors from the apex
+    # row, and the n - 1 neighbour rows, one per orbit, a chain of n - 2
+    # from the row of {a_2, ..., a_n}: the count of row steps is linear in
+    # n, so no walk over the 2^(n-1) - 1 neighbours can come back unseen
     steps = []
     real = holes._with_element
 
@@ -394,15 +398,15 @@ def test_incidence_by_size_takes_one_row_step_per_neighbour_row(monkeypatch):
         return real(row, b)
 
     monkeypatch.setattr(holes, "_with_element", counted)
-    for n in (5, 8, 12):
+    for n in (2, 3, 5, 8, 12, 20):
         steps.clear()
         _incidence_by_size(n)
-        assert len(steps) == (1 << (n - 1)) - 2 + (n - 1)
+        assert len(steps) == 2 * n - 3
 
 
 def test_incidence_by_size_keeps_few_rows():
-    # the walk's stack holds O(n^2) rows, not one per neighbour: at n = 16 a
-    # row is up to 8 KiB and there are 32767 neighbour rows
+    # the route holds about 3n rows, not one per neighbour: at n = 16 a row
+    # is up to 4 KiB and there are 32767 neighbour rows
     tracemalloc.start()
     try:
         _incidence_by_size(16)
@@ -585,66 +589,80 @@ def test_hole_report_rejects_incidences_that_are_not_three_h(monkeypatch):
         hole_report(3)
 
 
-def _skew_row_step(monkeypatch, skewed_args, extra):
-    """Make the row step called with skewed_args also set the bits of extra.
+def _skew_row_steps(monkeypatch, skews):
+    """Make each row step called with the arguments of a key of skews also
+    flip the bits of its value.
 
     In G(3) the reduced lattice is the masks 0..3 of {a2, a3} (bit 0 is a2,
     bit 1 is a3). The chain steps (1, 1) and (0b101, 0) give the rows of
-    sizes 2 and 1; the walk steps (1, 0) and (1, 1) give the rows of {a3}
-    and {a2}, the second equal to the chain's first.
+    the sizes 2 and 1, 0b101 and 0b1111 before the empty mask is dropped;
+    the neighbour step (1, 0) gives 0b11, the row of {a3}, whose free set
+    is {a2}. The row of {a2, a3}, 1, is built by hand.
     """
     real = holes._with_element
     monkeypatch.setattr(
-        holes,
-        "_with_element",
-        lambda row, b: real(row, b) | (extra if (row, b) == skewed_args else 0),
+        holes, "_with_element", lambda row, b: real(row, b) ^ skews.get((row, b), 0)
     )
 
 
 @pytest.mark.parametrize(
-    "skewed_args, extra, message",
+    "skews, message",
     [
-        # the walk's row of {a3} (free set {a2}) gains {a3}: the size-1
-        # term, its popcount less 1, rises by one and turns odd
-        ((1, 0), 1 << 0b10, "odd doubled complement incidence"),
+        # the row of {a3} trades {a2} for {a3}: its degree holds, but it
+        # now meets the row of size 2, which holds {a3} alone, and stands
+        # there for one neighbour, so that doubled sum turns odd
+        ({(1, 0): 0b110}, "rows are not symmetric: odd doubled complement incidence"),
         # the chain's row of size 1 gains mask 4, outside the lattice: the
         # three singletons lose one degree each, an odd change of the sum
-        ((0b101, 0), 1 << 4, "odd doubled edge count"),
+        ({(0b101, 0): 1 << 4}, "odd doubled edge count"),
     ],
     ids=["complement-incidence", "edge-count"],
 )
-def test_incidence_by_size_rejects_odd_doubled_sums(
-    monkeypatch, skewed_args, extra, message
-):
-    _skew_row_step(monkeypatch, skewed_args, extra)
-    # the walk reads no input, so hole_report reports its failed guard as a fault
-    with pytest.raises(RouteMismatch, match=message):
+def test_incidence_by_size_rejects_odd_doubled_sums(monkeypatch, skews, message):
+    _skew_row_steps(monkeypatch, skews)
+    # the route reads no input, so hole_report reports its failed guard as a fault
+    with pytest.raises(RouteMismatch, match=f"n=3: {message}"):
+        hole_report(3)
+
+
+def test_incidence_by_size_rejects_a_neighbour_row_off_its_orbit(monkeypatch):
+    # the row of {a3} gains mask 4, outside the lattice: it reads degree 1,
+    # the row of size 1 still reads 3, and {a3} and {a1} lie in one orbit;
+    # mask 4 meets no other row, so every other guard of the route would
+    # hold and only the corrected recursion, which stops at corrected_max_n,
+    # would catch the h_exact of 19
+    _skew_row_steps(monkeypatch, {(1, 0): 1 << 4})
+    with pytest.raises(
+        RouteMismatch,
+        match=r"n=3: rows are not symmetric: the neighbour rows give the degrees \[1, 5\], "
+        r"the representative rows \[3, 5\]",
+    ):
         hole_report(3)
 
 
 def test_hole_report_rejects_a_skewed_degree(monkeypatch):
-    # the chain's row of size 1 gains masks 4 and 5, outside the lattice:
-    # the three singletons lose two degrees each, an even change of the
-    # doubled edge count; the walk ANDs no row with that one, so only d_1
-    # moves
-    _skew_row_step(monkeypatch, (0b101, 0), 1 << 4 | 1 << 5)
+    # the chain's row of size 1 gains masks 4 and 5 and the row of {a3} mask
+    # 4, all outside the lattice: the three singletons lose two degrees each,
+    # an even change of the doubled edge count, and {a3} loses two as well,
+    # so the two rows of one orbit still agree, every doubled sum stays even
+    # and every incidence non-negative; only the closed forms see d_1 = 1
+    _skew_row_steps(monkeypatch, {(0b101, 0): 1 << 4 | 1 << 5, (1, 0): 1 << 4})
     with pytest.raises(
         RouteMismatch,
-        match=r"n=3: the per-size walk gives the degrees \[1, 5, 6\] and \|E\| = 12, "
+        match=r"n=3: the per-size route gives the degrees \[1, 5, 6\] and \|E\| = 12, "
         r"degree_closed and edge_count_closed give \[3, 5, 6\] and 15",
     ):
         hole_report(3)
 
 
 def test_hole_report_rejects_a_skewed_row_that_passes_every_guard(monkeypatch):
-    # the walk's row of {a3} gains {a2, a3} and mask 4, outside the lattice;
-    # neither lies in the row of size 2, the only representative row the
-    # walk ANDs at n = 3, so every doubled sum stays even and every
-    # incidence non-negative, but d({a3}) falls by 4, t_1 and t_2 rise by 3
-    # and 4, and h_exact comes out 20, not 13
-    _skew_row_step(monkeypatch, (1, 0), 1 << 0b11 | 1 << 4)
+    # the row of {a3} trades {a2} for mask 4, outside the lattice: its degree
+    # holds and it still misses the row of size 2, so every doubled sum stays
+    # even and every incidence non-negative, but it no longer meets the row
+    # of size 1, t_1 rises from 3 to 4 and h_exact comes out 14, not 13
+    _skew_row_steps(monkeypatch, {(1, 0): 0b10010})
     with pytest.raises(
-        RouteMismatch, match=r"n=3: .* h_exact = 20, the corrected recursion gives 13"
+        RouteMismatch, match=r"n=3: .* h_exact = 14, the corrected recursion gives 13"
     ):
         hole_report(3)
 
@@ -672,11 +690,11 @@ def test_hole_report_compares_only_the_routes_it_computes():
 
 
 def test_incidence_by_size_rejects_a_negative_incidence(monkeypatch):
-    # every row step of G(3) comes back empty: the chain's rows of sizes 1
-    # and 2 lack the empty mask, so dropping it (one XOR of bit 0) sets it
-    # instead, and d_1 = d_2 = 5, an even doubled edge count; the walk rows
-    # of {a2} and {a3} read degree 7, and t_1 falls from 3 to -5
-    monkeypatch.setattr(holes, "_with_element", lambda row, b: 0)
+    # the chain's row of size 1 drops {a2} and {a3}, keeping only {a2, a3},
+    # and the row of {a3} drops the empty mask: d_1 = 5 on both rows of its
+    # orbit, an even doubled edge count, and no two rows meet, so
+    # t_1 = 18 - 5 - 15 + 0 - 0 = -2
+    _skew_row_steps(monkeypatch, {(0b101, 0): 0b110, (1, 0): 1})
     with pytest.raises(ValueError, match="negative triangle incidence"):
         _incidence_by_size(3)
 
@@ -691,17 +709,20 @@ from setgraphs import RouteMismatch, holes, hole_report
 text = json.dumps(hole_report(12).as_dict()) + "\\n"
 print(hashlib.sha256(text.encode()).hexdigest())
 with_element = holes._with_element
-def skew(skewed_args, extra):
-    return lambda row, b: with_element(row, b) | (extra if (row, b) == skewed_args else 0)
+def skew(skews):
+    return lambda row, b: with_element(row, b) ^ skews.get((row, b), 0)
 skews = [
-    (RouteMismatch, "odd doubled complement incidence", "_with_element", skew((1, 0), 4)),
-    (RouteMismatch, "odd doubled edge count", "_with_element", skew((5, 0), 16)),
-    (RouteMismatch, "negative triangle incidence", "_with_element", lambda row, b: 0),
+    (RouteMismatch, "odd doubled complement incidence", "_with_element", skew({(1, 0): 6})),
+    (RouteMismatch, "odd doubled edge count", "_with_element", skew({(5, 0): 16})),
+    (RouteMismatch, "neighbour rows give the degrees [1, 5]", "_with_element",
+     skew({(1, 0): 16})),
+    (RouteMismatch, "negative triangle incidence", "_with_element",
+     skew({(5, 0): 6, (1, 0): 1})),
     (RouteMismatch, "multiple of 3", "_incidence_by_size",
      lambda n: ((3, 7, 10), [3, 5, 6], 15)),
-    (RouteMismatch, "degrees [1, 5, 6]", "_with_element", skew((5, 0), 48)),
-    (RouteMismatch, "h_exact = 20, the corrected recursion gives 13", "_with_element",
-     skew((1, 0), 24)),
+    (RouteMismatch, "degrees [1, 5, 6]", "_with_element", skew({(5, 0): 48, (1, 0): 16})),
+    (RouteMismatch, "h_exact = 14, the corrected recursion gives 13", "_with_element",
+     skew({(1, 0): 18})),
 ]
 for error, message, name, skewed in skews:
     real = getattr(holes, name)
