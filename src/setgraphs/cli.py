@@ -15,7 +15,14 @@ flags win. max_n, max_index and threads must be plain integers. threads
 a single thread. Exit codes: 0 success, 2 usage error, 3 resource-guard
 refusal, 4 two routes to one value disagree (a fault in the program), 1
 other execution errors. Refuted claims are findings, not errors: verify
-still exits 0.
+still exits 0. An empty out is a usage error.
+
+Argv is read from one table, `COMMANDS`, along two routes. `_direct_args`
+reads an argv it can read without doubt (exact command and long option
+names, `--opt V` or `--opt=V`, values its types and choices accept) with
+no argparse import. Anything else (help, abbreviations, negative numbers,
+every usage error) goes to `build_parser`, whose argparse parser prints
+help and refusals as before.
 
 Every command writes bytes, in blocks of 256 KiB (a shorter report in one
 block of its own size), to stdout or --out; line ends are \n on every
@@ -28,7 +35,6 @@ fails.
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import os
@@ -36,7 +42,8 @@ import sys
 from contextlib import contextmanager
 from itertools import accumulate
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, BinaryIO, Iterator
 
 from . import holes, invariants, parameters, verify
 from .mela import check_closure, check_divisibility, mela as mela_sequence
@@ -56,6 +63,9 @@ from .core import (
     subset_str,
     vertex_count,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 THREADS_HELP = "accepted and ignored; every command runs on one thread"
 
@@ -371,54 +381,136 @@ def _int_setting(args, config: dict, key: str, default: int, minimum: int = 0) -
     return check_int(key, _setting(args, config, key, default), minimum)
 
 
+# Every command: its help, then its arguments in the order argparse lists
+# them, each a name and the keyword arguments of `add_argument`. A name that
+# starts with "--" is a long option whose dest is the name without its
+# dashes, "-" read as "_"; the other names are positionals. Only "type"
+# (a callable on the string), "choices" and "help" are used, and every
+# default is None. `build_parser` and `_direct_args` both read this table.
+_OUT = ("--out", {})
+_THREADS = ("--threads", {"type": int, "help": THREADS_HELP})
+_MAX_N = ("--max-n", {"type": int})
+_REPORT_FORMAT = ("--format", {"choices": ["json", "md"]})
+CONFIG_OPTION = ("--config", {"help": "JSON config file; flags win over its keys"})
+COMMANDS = {
+    "build": ("export the graph for one ground-set size", [
+        ("n", {"type": int}),
+        ("--format", {"choices": ["dot", "json", "csv"]}),
+        _OUT,
+    ]),
+    "invariants": ("all invariants of G(n) as JSON", [
+        ("n", {"type": int}),
+        ("--table", {"choices": ["degrees", "tightness"],
+                     "help": "emit per-vertex 'label,mask,value' CSV rows instead"}),
+        _THREADS,
+        _OUT,
+    ]),
+    "sequence": ("one row per n: 'n,value'", [
+        ("metric", {"choices": list(SEQUENCES)}),
+        _MAX_N,
+        _OUT,
+    ]),
+    "verify": ("adjudicate registered claims", [
+        ("--claims", {"help": "'all' or comma-separated ids"}),
+        _MAX_N,
+        _REPORT_FORMAT,
+        _OUT,
+        _THREADS,
+    ]),
+    "mela": ("closure and divisibility checks for Mela numbers", [
+        ("--max-index", {"type": int}),
+        _REPORT_FORMAT,
+        _OUT,
+    ]),
+}
+
+
+def _dest(name: str) -> str:
+    return name.removeprefix("--").replace("-", "_")
+
+
+def _direct_args(argv: list[str]) -> SimpleNamespace | None:
+    """The fields `build_parser().parse_args(argv)` would return, or None.
+
+    It reads only argv it can read without doubt: an optional --config
+    before an exact command name, then that command's positionals and exact
+    long options in any order, each option as `--opt V` or `--opt=V`, the
+    last of a repeated option winning. Every value is converted with its
+    type and checked against its choices. Anything else gives None, so that
+    argparse prints its help or refuses with its own message: -h, --, an
+    abbreviated or unknown option, a missing or extra positional, a value
+    its type or choices refuse, or a token starting with "-" where a
+    positional or a value is due (a negative n, say).
+    """
+    fields = {"config": None, "command": None}
+    options = dict([CONFIG_OPTION])
+    positionals = None  # those still due once the command is read
+    tokens = iter(argv)
+    for token in tokens:
+        if token.startswith("-"):
+            name, eq, value = token.partition("=")
+            if name not in options:
+                return None
+            if not eq:
+                value = next(tokens, None)
+                if value is None or value.startswith("-"):
+                    return None
+            spec = options[name]
+        elif positionals is None:
+            if token not in COMMANDS:
+                return None
+            fields["command"] = token
+            arguments = COMMANDS[token][1]
+            options = {name: spec for name, spec in arguments if name.startswith("--")}
+            positionals = [(name, spec) for name, spec in arguments if name not in options]
+            fields.update((_dest(name), None) for name, _ in arguments)
+            continue
+        elif positionals:
+            name, spec = positionals.pop(0)
+            value = token
+        else:
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        fields[_dest(name)] = value
+    if positionals is None or positionals:
+        return None
+    return SimpleNamespace(**fields)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of `COMMANDS`: the route for help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="setgraph",
         description="Exact invariants and claim verification for subset intersection graphs.",
     )
-    parser.add_argument("--config", help="JSON config file; flags win over its keys")
+    parser.add_argument(CONFIG_OPTION[0], **CONFIG_OPTION[1])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_build = sub.add_parser("build", help="export the graph for one ground-set size")
-    p_build.add_argument("n", type=int)
-    p_build.add_argument("--format", choices=["dot", "json", "csv"], default=None)
-    p_build.add_argument("--out")
-
-    p_inv = sub.add_parser("invariants", help="all invariants of G(n) as JSON")
-    p_inv.add_argument("n", type=int)
-    p_inv.add_argument("--table", choices=["degrees", "tightness"],
-                       help="emit per-vertex 'label,mask,value' CSV rows instead")
-    p_inv.add_argument("--threads", type=int, help=THREADS_HELP)
-    p_inv.add_argument("--out")
-
-    p_seq = sub.add_parser("sequence", help="one row per n: 'n,value'")
-    p_seq.add_argument("metric", choices=list(SEQUENCES))
-    p_seq.add_argument("--max-n", dest="max_n", type=int)
-    p_seq.add_argument("--out")
-
-    p_verify = sub.add_parser("verify", help="adjudicate registered claims")
-    p_verify.add_argument("--claims", default=None, help="'all' or comma-separated ids")
-    p_verify.add_argument("--max-n", dest="max_n", type=int)
-    p_verify.add_argument("--format", choices=["json", "md"], default=None)
-    p_verify.add_argument("--out")
-    p_verify.add_argument("--threads", type=int, help=THREADS_HELP)
-
-    p_mela = sub.add_parser("mela", help="closure and divisibility checks for Mela numbers")
-    p_mela.add_argument("--max-index", dest="max_index", type=int)
-    p_mela.add_argument("--format", choices=["json", "md"], default=None)
-    p_mela.add_argument("--out")
+    for command, (help_text, arguments) in COMMANDS.items():
+        p_command = sub.add_parser(command, help=help_text)
+        for name, spec in arguments:
+            p_command.add_argument(name, **spec)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _direct_args(argv) or build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
         caps = _caps_from_config(config)
         out = _setting(args, config, "out", None)
         if out is not None and not isinstance(out, str):
             raise ValueError(f"out must be a path string, got {out!r}")
+        if out == "":
+            raise ValueError("out must name a file, or '-' for stdout, got ''")
         if args.command == "build":
             fmt = _setting(args, config, "format", "dot")
             exporters = {"dot": render_dot, "csv": render_csv, "json": render_graph_json}

@@ -712,6 +712,183 @@ def test_usage_and_guard_exit_codes(tmp_path):
     assert exc.value.code == 2
 
 
+EMPTY_OUT = "setgraph: out must name a file, or '-' for stdout, got ''\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sequence", "edges", "--max-n", "2"),
+    ("build", "2", "--format", "csv"),
+    ("build", "15", "--format", "csv"),  # refused before the size checks
+    ("invariants", "3"),
+])
+def test_an_empty_out_is_a_usage_error(argv, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out": ""}))
+    for args in ((*argv, "--out", ""), (*argv, "--out="), ("--config", str(config), *argv)):
+        assert run_cli(*args) == 2
+        assert capsys.readouterr() == ("", EMPTY_OUT)
+
+
+# the argv of the three CLI workloads in perfbench/run.py, and others the
+# direct route reads
+READ_DIRECTLY = [
+    ("invariants", "13", "--threads", "1"),
+    ("verify", "--claims", "all", "--max-n", "12", "--threads", "1"),
+    ("build", "12", "--format", "csv"),
+    ("--config", "c.json", "--config=d.json", "sequence", "--out=x", "holes", "--max-n", "3"),
+    ("build", "--format=json", "--format", "dot", "4", "--out", ""),
+    ("mela", "--max-index=+7", "--format", "md"),
+]
+
+
+@pytest.mark.parametrize("argv", READ_DIRECTLY)
+def test_direct_route_reads_what_argparse_reads(argv):
+    args = cli._direct_args(list(argv))
+    assert args is not None
+    assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("--help",), ("invariants", "-h"), ("invariants", "-3"), ("invariants", "3", "--thr", "1"),
+    ("invariants", "3", "--", "--out", "x"), ("--conf", "c.json", "invariants", "3"),
+    ("invariants", "3", "--config", "c.json"), ("invariants",), ("invariants", "3", "4"),
+    ("invariants", "x"), ("sequence", "girth"), ("verify", "--format", "csv"),
+    ("build", "3", "--out"), ("build", "3", "--out", "-"), ("verify", "--bogus"), ("frobnicate",),
+])
+def test_direct_route_declines_what_it_cannot_read_without_doubt(argv):
+    assert cli._direct_args(list(argv)) is None
+
+
+def test_direct_route_agrees_with_argparse():
+    # argv drawn from the command table: each argv is declined, or read into
+    # exactly the fields argparse gives
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    parser = cli.build_parser()
+    outcomes = {"read": 0, "declined": 0}
+
+    def values(spec):
+        if spec.get("type") is int:
+            return st.sampled_from(["0", "3", "12", "+4", "1_0", " 7", "-3", "x", "", "3.0"])
+        if "choices" in spec:
+            return st.sampled_from([*spec["choices"], "girth", "", "-md"])
+        return st.sampled_from(["a.txt", "C1,C8", "all", "", "a=b", "-", "-x", "--out"])
+
+    def option(flag, spec):
+        # the flag, now and then abbreviated, with its value in either form
+        return st.tuples(st.sampled_from([flag] * 3 + [flag[:5]]), values(spec),
+                         st.booleans()).map(
+            lambda t: [f"{t[0]}={t[1]}"] if t[2] else [t[0], t[1]])
+
+    noise = st.sampled_from([["-h"], ["--help"], ["--"], ["--bogus"], ["--bogus", "1"],
+                             ["extra"], ["-3"], ["--config", "c.json"]])
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        argv = []
+        for _ in range(data.draw(st.integers(0, 2))):
+            argv += data.draw(option(*cli.CONFIG_OPTION))
+        command = data.draw(st.sampled_from([*cli.COMMANDS, "frobnicate", ""]))
+        if command:
+            argv.append(command)
+        pieces = []
+        for name, spec in cli.COMMANDS.get(command, ("", []))[1]:
+            if name.startswith("--"):
+                pieces += data.draw(st.lists(option(name, spec), max_size=2))
+            else:
+                pieces += data.draw(st.lists(values(spec).map(lambda v: [v]),
+                                             min_size=1, max_size=2))
+        pieces += data.draw(st.lists(noise, max_size=1))
+        for piece in data.draw(st.permutations(pieces)):
+            argv += piece
+        args = cli._direct_args(argv)
+        if args is None:
+            outcomes["declined"] += 1
+        else:
+            outcomes["read"] += 1
+            assert vars(args) == vars(parser.parse_args(argv)), argv
+
+    check()
+    assert outcomes["read"] and outcomes["declined"], outcomes
+
+
+NO_OUTPUT = hashlib.sha256(b"").hexdigest()
+# (exit code, sha256 of stdout, sha256 of stderr; "" for no output) of
+# main(ARGV) in a child process with COLUMNS=80: help and usage errors, which
+# argparse prints, as CPython 3.11.7 printed them before argv had a direct route
+PINNED_PYTHON = (3, 11, 7)
+HELP_AND_REFUSAL_DIGESTS = {
+    ("--help",): (0, "a289a628b8ab1f2a223f829b3b19e7d70eb0531fcd3ab1aad1f1db96f41f16af", ""),
+    ("build", "--help"): (
+        0, "c25debf202d2c87a08f188aad79b3f0827dc41c2623ee1c16ba8c3958ff85c29", ""),
+    ("invariants", "--help"): (
+        0, "1a3625833d4b4bd588b3d0c963900f389da96280557adf203744f5ede712580b", ""),
+    ("sequence", "--help"): (
+        0, "7de8f86b1ad61c9f55da99c180f5dd62473ab63f4524960bd8c72fd35ae23e1a", ""),
+    ("verify", "--help"): (
+        0, "49696473366a2c28620c7bd9df7cb2ddb20a0fcfa94e80fe6b401dc4386c7a28", ""),
+    ("mela", "--help"): (
+        0, "0b0921c6201afab16ceb8d9adf8d8d01d335c9a81995c210782c2cf4fc33fb8f", ""),
+    ("frobnicate",): (
+        2, "", "1d0f10942a8f27ee0a0a1e5d7977dc2ca7c8e77f8eeac933a4e4b5d0f38f9d33"),
+    ("invariants", "x"): (
+        2, "", "35c2179105c4049a2e306c17d702de87e0b77d4d685012a41871b80f16333bfd"),
+    ("invariants", "3", "--table", "girth"): (
+        2, "", "3d682b02a41360026570c687ecf928f72c3bd482f3e3ab40ac21675611718432"),
+    ("sequence", "girth"): (
+        2, "", "3ee48a4999c39d6c4ceab7027c59cf656e02ca195327c3b891f4e4c63ebc0150"),
+    ("invariants",): (
+        2, "", "7f1834114459f1d07edfaf4ac9fbce957954be290ad56dde0e86d35271d791f4"),
+    ("verify", "--bogus"): (
+        2, "", "092cf5f6852fdb30016ee4045d9cfb7b65df681cb11c5d05a6beb42a0e909203"),
+    # an abbreviation, which argparse reads: the report of `invariants 3`
+    ("invariants", "3", "--thr", "1"): (
+        0, "051c3018aa77dd5dafc39b78c991cb0710cc1a2557e7a0efead246f8f6b0251f", ""),
+    (): (2, "", "a15a7a4990e553a76ee9d0358ccc43a31c7d473b66eca28a528c5f29e64966cb"),
+}
+
+
+def _outcome(env, argv):
+    """(exit code, sha256 of stdout, sha256 of stderr) of main(argv) in a child."""
+    code = "import sys; from setgraphs import cli; sys.exit(cli.main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, env=env)
+    return (proc.returncode, hashlib.sha256(proc.stdout).hexdigest(),
+            hashlib.sha256(proc.stderr).hexdigest())
+
+
+def test_help_and_usage_errors_go_to_argparse():
+    # on every Python the pinned argv take the argparse route, whose text is
+    # argparse's own
+    for argv in HELP_AND_REFUSAL_DIGESTS:
+        assert cli._direct_args(list(argv)) is None, argv
+
+
+@pytest.mark.skipif(sys.version_info[:3] != PINNED_PYTHON,
+                    reason="argparse's help and error text differs between Python releases")
+def test_help_and_usage_errors_are_pinned(child_env):
+    env = {**child_env, "COLUMNS": "80"}
+    for argv, (code, out, err) in HELP_AND_REFUSAL_DIGESTS.items():
+        assert _outcome(env, argv) == (code, out or NO_OUTPUT, err or NO_OUTPUT), argv
+
+
+def test_argparse_stays_off_the_run_path(child_env):
+    code = (
+        "import contextlib, io, sys\n"
+        "from setgraphs import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['invariants', '3']), cli.main(['build', '3', '--format', 'csv']),\n"
+        "             cli.main(['verify', '--max-n', '3'])]\n"
+        "    print(codes, 'argparse' in sys.modules, file=sys.stderr)\n"
+        "    with contextlib.suppress(SystemExit):\n"
+        "        cli.main(['--help'])\n"
+        "print('argparse' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env)
+    assert (proc.returncode, proc.stderr) == (0, "[0, 0, 0] False\nTrue\n")
+
+
 def test_config_file_flags_win(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"max_n": 3, "format": "md"}))
