@@ -20,6 +20,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain, combinations
 from math import comb
 from operator import and_, or_
 from typing import Callable, Sequence
@@ -28,7 +29,6 @@ from . import holes, invariants, parameters
 from .config import CANONICAL_ORDER_TAG, DEFAULT_CAPS, Caps
 from .core import (
     Graph,
-    adjacent,
     canonical_masks,
     extension_map,
     full_mask,
@@ -126,8 +126,9 @@ def _c1(n: int, caps: Caps, top: int | None) -> dict | None:
 def _c2(n: int, caps: Caps, top: int | None) -> dict | None:
     g = materialize(n, caps=caps)
     degrees_by_card: dict[int, set[int]] = {}
-    for m, d in zip(g.masks, g.degrees):
-        degrees_by_card.setdefault(m.bit_count(), set()).add(d)
+    # cardinality ascending, the order in which the canonical masks meet them
+    for k, d in sorted(set(zip(map(int.bit_count, g.masks), g.degrees))):
+        degrees_by_card.setdefault(k, set()).add(d)
     for k, seen in degrees_by_card.items():
         if len(seen) != 1:
             return {"n": n, "expected": "one degree per cardinality",
@@ -267,18 +268,17 @@ def _c13(n: int, caps: Caps, top: int | None) -> dict | None:
     if len(classes) != target:
         return {"n": n, "expected": {"colors": target}, "actual": {"colors": len(classes)}}
     for cls in classes:
-        for i, u in enumerate(cls):
-            for v in cls[i + 1 :]:
-                if adjacent(u, v):
-                    return {"n": n, "expected": "proper coloring",
-                            "actual": {"same color": [u, v]}}
-    gap = _partition_gap([m for cls in classes for m in cls], n)
+        for u, v in combinations(cls, 2):
+            if u & v and u != v:  # adjacent in G(n)
+                return {"n": n, "expected": "proper coloring",
+                        "actual": {"same color": [u, v]}}
+    gap = _partition_gap(tuple(chain.from_iterable(classes)), n)
     if gap is not None:
         return {"n": n, "expected": "each mask of G(n) once", "actual": gap}
     # distinct masks of G(n) that share an element are pairwise adjacent
     witness = parameters.clique_witness(n, caps=caps)
     if not (len(witness) == len(set(witness)) == target
-            and all(0 < m < 1 << n for m in witness) and reduce(and_, witness)):
+            and 0 < min(witness) and max(witness) < 1 << n and reduce(and_, witness)):
         return {"n": n, "expected": {"clique order": target}, "actual": {"witness": list(witness)}}
     if n <= top:
         chi = chromatic_exact(materialize(n, caps=caps))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import random
 from math import comb
 
 import pytest
@@ -188,6 +189,94 @@ def test_materialize_rows_symmetric_irreflexive():
                 v = low.bit_length() - 1
                 rest ^= low
                 assert g.rows[v] >> u & 1
+
+
+def _row_check_reference(rows):
+    """The row check of a Graph of at most 64 vertices as a walk over every
+    set bit: row by row, first the range, then each bit against its mirror."""
+    v = len(rows)
+    if any(row >> u & 1 for u, row in enumerate(rows)):
+        raise ValueError("rows are not irreflexive: a row holds its own bit")
+    for u, row in enumerate(rows):
+        if row >> v:
+            raise ValueError(f"row {u} has bits beyond the vertex range")
+        for w in range(v):
+            if row >> w & 1 and not rows[w] >> u & 1:
+                raise ValueError(f"rows are not symmetric: asymmetric pair ({u}, {w})")
+
+
+def _row_check_outcome(check, rows):
+    """None if check accepts rows, else the message of its ValueError."""
+    try:
+        check(rows)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("rows, message", [
+    # an asymmetric pair in row 0 comes before row 2's bit beyond the range
+    ((0b010, 0b000, 0b1000), "rows are not symmetric: asymmetric pair (0, 1)"),
+    # row 0 is out of range before row 1's asymmetric pair is reached
+    ((0b1000, 0b100, 0b000), "row 0 has bits beyond the vertex range"),
+    # within one row the range is checked first
+    ((0b1100, 0b000, 0b000), "row 0 has bits beyond the vertex range"),
+    # a negative row has bits beyond any range
+    ((0b10, -3), "row 1 has bits beyond the vertex range"),
+    # the lowest w of the first asymmetric row is reported
+    ((0b110, 0b000, 0b000), "rows are not symmetric: asymmetric pair (0, 1)"),
+    ((0b000, 0b101, 0b000), "rows are not symmetric: asymmetric pair (1, 0)"),
+    # a self bit is reported before any other fault
+    ((0b1000, 0b10, 0b0), "rows are not irreflexive: a row holds its own bit"),
+    ((0b0,) * 63 + (1 << 64,), "row 63 has bits beyond the vertex range"),
+    ((1 << 63,) + (0,) * 63, "rows are not symmetric: asymmetric pair (0, 63)"),
+], ids=["asymmetric-before-range", "range-before-asymmetric", "range-first-in-a-row",
+        "negative-row", "lowest-w", "later-row", "self-bit", "range-at-64", "pair-at-64"])
+def test_row_check_reports_the_first_fault_of_the_bit_walk(rows, message):
+    assert _row_check_outcome(_row_check_reference, rows) == message
+    with pytest.raises(ValueError) as raised:
+        Graph(rows)
+    assert str(raised.value) == message
+
+
+def test_row_check_agrees_with_the_bit_walk():
+    # symmetric rows on 0-64 vertices with up to three bits flipped: a flip
+    # at (u, w), w != u in range, makes an asymmetric pair, one at (u, u) a
+    # self bit, one at w >= V a bit beyond the range
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = set()
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        st.integers(0, 64), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.integers(0, 63), st.sampled_from(["pair", "self", "beyond"]),
+                           st.integers(0, 63)), max_size=3),
+    )
+    def check(v, density, seed, flips):
+        rng = random.Random(seed)
+        rows = [0] * v
+        for u in range(v):
+            for w in range(u + 1, v):
+                if rng.random() < density:
+                    rows[u] |= 1 << w
+                    rows[w] |= 1 << u
+        for u, kind, w in flips:
+            if v:
+                u %= v
+                w = {"pair": w % v, "self": u, "beyond": v + w % 4}[kind]
+                rows[u] ^= 1 << w
+        rows = tuple(rows)
+        expected = _row_check_outcome(_row_check_reference, rows)
+        assert _row_check_outcome(Graph, rows) == expected
+        if expected is None:
+            assert Graph(rows).degrees == tuple(row.bit_count() for row in rows)
+            seen.add("accepted")
+        else:
+            seen.add(next(k for k in ("irreflexive", "beyond", "asymmetric") if k in expected))
+
+    check()
+    assert seen == {"accepted", "irreflexive", "beyond", "asymmetric"}
 
 
 @pytest.mark.parametrize("rows, message", [

@@ -139,6 +139,27 @@ def test_tightness_vector_matches_row_degrees():
         assert tightness_vector(n) == materialize(n).degrees
 
 
+def _sweep_reference(n):
+    """The subset-sum sweep of `_tightness_vector` one element at a time:
+    for each bit, every mask holding it adds the count of the mask without it."""
+    size = 1 << n
+    inside = [1] * size
+    inside[0] = 0
+    for b in range(n):
+        bit = 1 << b
+        for x in range(size):
+            if x & bit:
+                inside[x] += inside[x ^ bit]
+    full = size - 1
+    return tuple(size - 2 - inside[full ^ m] for m in canonical_masks(n))
+
+
+def test_tightness_vector_equals_the_per_element_sweep():
+    # up to 14, past the sizes the scalar walk (10) and the rows (12) reach
+    for n in range(1, 15):
+        assert invariants._tightness_vector(n) == _sweep_reference(n)
+
+
 def test_tightness_vector_does_not_read_the_scalar_walk(monkeypatch):
     # the sweep and the one-mask walk are separate routes: the vector must
     # come out right with the walk unavailable
